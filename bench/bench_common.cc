@@ -53,11 +53,9 @@ ActualOutcome DeployOnGroundTruth(const Setup& setup, const TrainConfig& config)
   ActualOutcome outcome;
   GroundTruthExecutor executor = MakeDeploymentExecutor(setup, config);
 
-  LaunchOptions launch;
-  launch.selective_launch =
-      config.framework == ParallelFramework::kMegatron &&
-      setup.model.family != ModelFamily::kResNet;
-  Result<LaunchResult> launched = EmulateJob(setup.model, config, setup.cluster, launch);
+  // Full emulation: the ground truth runs every rank, as a real deployment
+  // would.
+  Result<LaunchResult> launched = EmulateJob(setup.model, config, setup.cluster);
   CHECK(launched.ok()) << launched.status().ToString();
   if (launched->oom) {
     outcome.oom = true;
@@ -128,7 +126,7 @@ PredictionStudy RunPredictionStudy(const Setup& setup, EstimatorCache& cache,
     PredictionRequest request;
     request.model = setup.model;
     request.config = entry.config;
-    request.selective_launch = true;
+    request.virtual_folds = true;
     Result<PredictionReport> prediction = pipeline.Predict(request);
     CHECK(prediction.ok()) << prediction.status().ToString();
     CHECK(!prediction->oom) << "Maya predicted OOM for a config that ran: "

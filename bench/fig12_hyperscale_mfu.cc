@@ -1,8 +1,7 @@
 // Figure 12: hyperscale data-parallel scaling of GPT-3 145.6B with TP8/PP8
 // fixed (12K global batch, 64 microbatches), 1K to 12K GPUs. Virtual folded
-// ranks emulate only the 8 analytically-unique workers (no per-rank comm
-// stubs); collectives are priced by the ASTRA-sim-like hierarchical network
-// model. The expected
+// ranks emulate only the 8 analytically-unique workers; collectives are
+// priced by the ASTRA-sim-like hierarchical network model. The expected
 // shape is sublinear scaling — MFU decays as inter-node communication
 // dominates.
 #include <iostream>
@@ -44,8 +43,8 @@ int main() {
 
     PredictionRequest request{model, config};
     // Virtual folded ranks: only the 8 analytically-unique workers exist at
-    // any point (bit-identical to materialized selective launch, which would
-    // still materialize one comm-init stub per rank).
+    // any point (bit-identical to full emulation, which would run every
+    // rank).
     request.virtual_folds = true;
     Result<PredictionReport> report = pipeline.Predict(request);
     CHECK(report.ok()) << report.status().ToString();

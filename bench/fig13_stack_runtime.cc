@@ -1,6 +1,6 @@
 // Figure 13: wall-clock runtime of each Maya stage (emulator, collator,
 // runtime predictor, simulator) when weak-scaling GPT-3 145.6B to 16K GPUs
-// with selective launch (8 unique workers regardless of cluster size).
+// with virtual folds (8 unique workers regardless of cluster size).
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -40,7 +40,7 @@ int main() {
     CHECK(config.Validate(model, cluster).ok());
 
     PredictionRequest request{model, config};
-    request.selective_launch = true;
+    request.virtual_folds = true;
     Result<PredictionReport> report = pipeline.Predict(request);
     CHECK(report.ok()) << report.status().ToString();
     CHECK(!report->oom) << report->oom_detail;

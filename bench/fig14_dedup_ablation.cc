@@ -62,7 +62,7 @@ int main() {
     PredictionRequest without{test_case.setup.model, test_case.config};
     without.deduplicate_workers = false;  // every GPU emulated and simulated
     PredictionRequest with{test_case.setup.model, test_case.config};
-    with.selective_launch = true;  // unique workers only
+    with.virtual_folds = true;  // unique workers only
 
     Result<PredictionReport> slow = pipeline.Predict(without);
     Result<PredictionReport> fast = pipeline.Predict(with);

@@ -1,5 +1,5 @@
 // Hyperscale what-if study (§7.4): how does GPT-3 145.6B training scale from
-// 512 to 4096 GPUs? Uses selective launch (only the analytically-unique
+// 512 to 4096 GPUs? Uses virtual folds (only the analytically-unique
 // pipeline-stage workers are emulated) and the ASTRA-sim-like hierarchical
 // network model instead of profiled collectives.
 #include <cstdio>
@@ -37,7 +37,7 @@ int main() {
     request.config.sequence_parallel = true;
     request.config.activation_recomputation = true;
     request.config.distributed_optimizer = true;
-    request.selective_launch = true;
+    request.virtual_folds = true;
 
     const Result<PredictionReport> report = maya.Predict(request);
     if (!report.ok() || report->oom) {

@@ -31,7 +31,7 @@ int main() {
           continue;
         }
         LaunchOptions options;
-        options.selective_launch = true;
+        options.virtual_folds = true;
         const Result<LaunchResult> launched = EmulateJob(model, config, cluster, options);
         if (!launched.ok()) {
           std::printf("%-6d %-6d %-10s %-12s\n", tp, pp, recompute ? "yes" : "no",

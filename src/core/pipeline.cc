@@ -65,8 +65,7 @@ std::string TraceCacheKey(const PredictionRequest& request) {
   const ModelConfig& model = request.model;
   std::string key = request.config.CacheKey();
   key += request.deduplicate_workers ? "|d1" : "|d0";
-  key += request.selective_launch ? "s1" : "s0";
-  key += request.virtual_folds ? "v1" : "v0";
+  key += request.virtual_folds || request.selective_launch ? "v1" : "v0";
   key += StrFormat("|%d|%lld|%lld|%lld|%lld|%lld|%lld|%lld|%lld|%lld",
                    static_cast<int>(model.family), static_cast<long long>(model.num_layers),
                    static_cast<long long>(model.hidden_size),
@@ -341,8 +340,7 @@ Result<PredictionReport> MayaPipeline::Predict(const PredictionRequest& request)
     MAYA_RETURN_IF_ERROR(faults.MaybeFail("pipeline.emulate"));
     MAYA_RETURN_IF_ERROR(CheckCancel(request.cancel));
     LaunchOptions launch;
-    launch.selective_launch = request.selective_launch;
-    launch.virtual_folds = request.virtual_folds;
+    launch.virtual_folds = request.virtual_folds || request.selective_launch;
     launch.emulation_pool = stage_pool_;
     launch.min_parallel_ranks = options_.min_parallel_emulation_ranks;
     launch.cancel = request.cancel;

@@ -102,17 +102,17 @@ struct PredictionRequest {
 
   // Pipeline knobs.
   bool deduplicate_workers = true;   // dynamic worker dedup (§4.2)
-  // Hyperscale unique-rank launch (§7.4), generalized to every engine:
-  // Megatron emulates one rank per pipeline stage; FSDP/DeepSpeed/DDP and
-  // vision jobs emulate rank 0 only, twins become comm-init stubs.
-  bool selective_launch = false;
-  // Hyperscale virtual folding: emulate one representative per analytic
-  // rank-equivalence class and carry twin membership as RankSet spans — no
-  // stub emulation, no O(world) materialization anywhere in the pipeline.
-  // Takes precedence over selective_launch. Reports are bit-identical to the
-  // materialized path under estimator-based annotation; oracle mode seeds
-  // per-instance noise by communicator uid, which depends on launch mode.
+  // Hyperscale virtual folding (§7.4): emulate one representative per
+  // analytic rank-equivalence class (one rank per pipeline stage for
+  // Megatron, rank 0 for FSDP/DeepSpeed/DDP and vision) and carry twin
+  // membership as RankSet spans — no O(world) materialization anywhere in
+  // the pipeline. Off (the default) is full emulation, the reference path.
+  // Reports are bit-identical to full emulation under estimator-based
+  // annotation; oracle mode seeds per-instance noise by communicator uid,
+  // which depends on launch mode.
   bool virtual_folds = false;
+  // Retired launch mode, kept as an alias: true selects virtual folds.
+  bool selective_launch = false;
   // Oracle mode (Table 3): annotate with the profiled *actual* per-instance
   // runtimes from this executor instead of learned estimates. Must be the
   // same executor (seed) that produced the "actual" measurement.

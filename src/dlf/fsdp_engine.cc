@@ -35,19 +35,6 @@ int FsdpEngine::effective_zero_stage() const {
   return 0;
 }
 
-Status FsdpEngine::RunCommInitOnly(int rank, DeviceApi* api, VirtualHostClock* clock,
-                                   JobCommRegistry* registry) const {
-  CHECK(registry != nullptr);
-  HostCostModel costs;
-  OpEmitter emitter(api, clock, costs, SplitMix64(0xf5daULL ^ static_cast<uint64_t>(rank)));
-  MAYA_RETURN_IF_ERROR(emitter.Init());
-  if (cluster_.total_gpus() > 1) {
-    MAYA_RETURN_IF_ERROR(
-        emitter.CommInit(cluster_.total_gpus(), registry->IdFor("fsdp_world"), rank).status());
-  }
-  return Status::Ok();
-}
-
 void FsdpEngine::RegisterComms(int rank, JobCommRegistry* registry) const {
   CHECK(registry != nullptr);
   (void)rank;

@@ -30,20 +30,14 @@ class FsdpEngine {
   Status RunWorker(int rank, DeviceApi* api, VirtualHostClock* clock,
                    JobCommRegistry* registry) const;
 
-  // Selective-launch stub: every rank is a member of the single world
-  // communicator, so the stub only needs to contribute that membership
-  // evidence. All ranks execute the same data-parallel script (their op
-  // sequences share one StructuralSignature stream), which is what lets the
-  // generalized dedup fold the whole job onto rank 0.
-  Status RunCommInitOnly(int rank, DeviceApi* api, VirtualHostClock* clock,
-                         JobCommRegistry* registry) const;
-
   // Registry-only mirror of the communicator names RunWorker uses, in first-
   // use order (see MegatronEngine::RegisterComms).
   void RegisterComms(int rank, JobCommRegistry* registry) const;
 
-  // Hyperscale mode: every rank is a data-parallel twin of rank 0, so there
-  // is exactly one equivalence class spanning the whole world.
+  // Hyperscale mode: every rank is a data-parallel twin of rank 0 (all ranks
+  // execute the same script, so their op sequences share one
+  // StructuralSignature stream), so there is exactly one equivalence class
+  // spanning the whole world.
   std::vector<RankClass> EquivalenceClasses() const;
 
   // The single world communicator (when world > 1), members by rank.

@@ -481,31 +481,17 @@ Status MegatronEngine::RunWorker(int rank, DeviceApi* api, VirtualHostClock* clo
   if (config_.torch_compile) {
     costs = costs.Compiled();
   }
-  // Host-jitter RNG is seeded by the rank's equivalence class (its selective-
-  // launch representative), not the rank id: layout twins execute the same
-  // script, so giving them the same measured host delays makes worker
-  // deduplication exactly lossless (dedup on/off and selective launch are
-  // bit-identical) while distinct classes still jitter independently.
+  // Host-jitter RNG is seeded by the rank's equivalence class (its
+  // representative), not the rank id: layout twins execute the same script,
+  // so giving them the same measured host delays makes worker deduplication
+  // exactly lossless (dedup on/off and virtual folds are bit-identical)
+  // while distinct classes still jitter independently.
   Ctx ctx(api, clock, costs,
           SplitMix64(0x5eedULL ^ static_cast<uint64_t>(layout_.RepresentativeOf(rank))));
   ctx.rank = rank;
   ctx.registry = registry;
   MAYA_RETURN_IF_ERROR(Setup(ctx));
   return RunIteration(ctx);
-}
-
-Status MegatronEngine::RunCommInitOnly(int rank, DeviceApi* api, VirtualHostClock* clock,
-                                       JobCommRegistry* registry) const {
-  CHECK(registry != nullptr);
-  HostCostModel costs;
-  Ctx ctx(api, clock, costs, SplitMix64(0x57abULL ^ static_cast<uint64_t>(rank)));
-  ctx.rank = rank;
-  ctx.registry = registry;
-  MAYA_RETURN_IF_ERROR(ctx.emitter.Init());
-  ctx.stage = layout_.pp_stage(rank);
-  ctx.tp_idx = layout_.tp_index(rank);
-  ctx.dp_idx = layout_.dp_index(rank);
-  return InitComms(ctx);
 }
 
 void MegatronEngine::RegisterComms(int rank, JobCommRegistry* registry) const {

@@ -23,9 +23,9 @@
 
 namespace maya {
 
-// Engines hold only immutable configuration after construction: RunWorker /
-// RunCommInitOnly are const and safe to call concurrently for distinct ranks
-// (the parallel launcher drives one engine instance from many threads).
+// Engines hold only immutable configuration after construction: RunWorker is
+// const and safe to call concurrently for distinct ranks (the parallel
+// launcher drives one engine instance from many threads).
 class MegatronEngine {
  public:
   MegatronEngine(const ModelConfig& model, const TrainConfig& config, const ClusterSpec& cluster);
@@ -37,11 +37,6 @@ class MegatronEngine {
   Status RunWorker(int rank, DeviceApi* api, VirtualHostClock* clock,
                    JobCommRegistry* registry) const;
 
-  // Selective-launch stub (§7.4): initializes the rank's communicators only,
-  // producing the membership evidence the collator needs.
-  Status RunCommInitOnly(int rank, DeviceApi* api, VirtualHostClock* clock,
-                         JobCommRegistry* registry) const;
-
   // Registers every logical communicator name `rank` will use, in exactly
   // the order RunWorker would first use them, without touching any emulator
   // state. Running this for all ranks in rank order pins the name -> unique
@@ -49,16 +44,16 @@ class MegatronEngine {
   // parallel launch produces bit-identical traces.
   void RegisterComms(int rank, JobCommRegistry* registry) const;
 
-  // Hierarchical selective launch (hyperscale mode): the analytic rank-
-  // equivalence classes — one per pipeline stage, since TP and DP twins
-  // within a stage execute the same script with the same jitter stream.
-  // O(pp) to compute regardless of world size.
+  // Virtual folds (hyperscale mode, §7.4): the analytic rank-equivalence
+  // classes — one per pipeline stage, since TP and DP twins within a stage
+  // execute the same script with the same jitter stream. O(pp) to compute
+  // regardless of world size.
   std::vector<RankClass> EquivalenceClasses() const;
 
   // Full membership of every communicator `rank` initializes, in exactly
   // InitComms' first-use order, with members listed by rank_in_comm. Lets
-  // the launcher resolve comm groups analytically instead of collecting
-  // per-rank comm-init stub evidence.
+  // the launcher resolve comm groups analytically for ranks it never
+  // emulates.
   std::vector<CommSpec> DescribeComms(int rank) const;
 
   // Local (per-rank) parameter count, including embedding/head shards.

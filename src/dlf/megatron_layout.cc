@@ -58,15 +58,6 @@ std::vector<int> MegatronLayout::PpGroup(int rank) const {
   return group;
 }
 
-std::vector<int> MegatronLayout::UniqueRanks() const {
-  std::vector<int> unique;
-  unique.reserve(static_cast<size_t>(pp_));
-  for (int p = 0; p < pp_; ++p) {
-    unique.push_back(RankOf(0, 0, p));
-  }
-  return unique;
-}
-
 int MegatronLayout::RepresentativeOf(int rank) const {
   return RankOf(0, 0, pp_stage(rank));
 }

@@ -2,9 +2,8 @@
 //
 // Rank order follows Megatron-LM's default ("tensor fastest, then data,
 // then pipeline"), which keeps tensor-parallel groups inside a node. The
-// layout also computes the analytically-unique workers for selective launch
-// (§7.4): one fully-emulated rank per pipeline stage, everything else a
-// communicator-bootstrap stub.
+// layout also names each rank's equivalence-class representative (§7.4):
+// the first rank of its pipeline stage.
 #ifndef SRC_DLF_MEGATRON_LAYOUT_H_
 #define SRC_DLF_MEGATRON_LAYOUT_H_
 
@@ -39,10 +38,8 @@ class MegatronLayout {
   int DpGroupIndex(int rank) const { return tp_index(rank) + tp_ * pp_stage(rank); }
   int PpGroupIndex(int rank) const { return tp_index(rank) + tp_ * dp_index(rank); }
 
-  // Selective launch (§7.4): TP and DP twins behave identically, so the
-  // unique workers are the first rank of each pipeline stage.
-  std::vector<int> UniqueRanks() const;
-  // The unique representative whose trace `rank` duplicates.
+  // TP and DP twins behave identically, so a rank's representative is the
+  // first rank of its pipeline stage (the rank whose trace it duplicates).
   int RepresentativeOf(int rank) const;
 
  private:

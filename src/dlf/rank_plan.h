@@ -1,5 +1,4 @@
-// Analytic rank-equivalence plan for hierarchical selective launch (§7.4,
-// hyperscale mode).
+// Analytic rank-equivalence plan for virtual folds (§7.4, hyperscale mode).
 //
 // Each engine can describe, in closed form from its tp×pp×dp(×vision)
 // layout, (a) which ranks are behavioral twins — the equivalence classes
@@ -7,7 +6,7 @@
 // full membership of every communicator a given rank initializes. Together
 // these let the launcher plan in O(unique classes) instead of an O(N)
 // per-rank walk, and let the collator skip the per-rank comm-init evidence
-// pass entirely (virtual folded ranks never produce stub traces).
+// pass entirely (virtual folded ranks never run, so they record nothing).
 #ifndef SRC_DLF_RANK_PLAN_H_
 #define SRC_DLF_RANK_PLAN_H_
 

@@ -30,19 +30,6 @@ VisionEngine::VisionEngine(const ModelConfig& model, const TrainConfig& config,
   CHECK(config_.Validate(model_, cluster_).ok()) << "invalid config: " << config_.Summary();
 }
 
-Status VisionEngine::RunCommInitOnly(int rank, DeviceApi* api, VirtualHostClock* clock,
-                                     JobCommRegistry* registry) const {
-  CHECK(registry != nullptr);
-  HostCostModel costs;
-  OpEmitter emitter(api, clock, costs, SplitMix64(0x715edULL ^ static_cast<uint64_t>(rank)));
-  MAYA_RETURN_IF_ERROR(emitter.Init());
-  if (cluster_.total_gpus() > 1) {
-    MAYA_RETURN_IF_ERROR(
-        emitter.CommInit(cluster_.total_gpus(), registry->IdFor("ddp_world"), rank).status());
-  }
-  return Status::Ok();
-}
-
 void VisionEngine::RegisterComms(int rank, JobCommRegistry* registry) const {
   CHECK(registry != nullptr);
   (void)rank;

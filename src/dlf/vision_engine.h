@@ -23,11 +23,8 @@ class VisionEngine {
   Status RunWorker(int rank, DeviceApi* api, VirtualHostClock* clock,
                    JobCommRegistry* registry) const;
 
-  // Selective-launch stub / registry-only pre-registration: the vision
-  // engine's ranks are pure data-parallel twins sharing one world
-  // communicator (see FsdpEngine for the dedup rationale).
-  Status RunCommInitOnly(int rank, DeviceApi* api, VirtualHostClock* clock,
-                         JobCommRegistry* registry) const;
+  // Registry-only pre-registration: the vision engine's ranks are pure
+  // data-parallel twins sharing one world communicator.
   void RegisterComms(int rank, JobCommRegistry* registry) const;
 
   // Hyperscale mode: one equivalence class (pure data parallelism) and one

@@ -27,12 +27,12 @@ uint64_t AlignUp(uint64_t bytes) {
 }  // namespace
 
 WorkerEmulator::WorkerEmulator(int rank, const EmulationSpec& spec, JobBootstrap* bootstrap,
-                               const HostClock* clock, size_t trace_op_reserve)
+                               const HostClock* clock)
     : rank_(rank), spec_(spec), bootstrap_(bootstrap), clock_(clock) {
   CHECK(bootstrap_ != nullptr);
   CHECK(clock_ != nullptr);
   trace_.rank = rank;
-  trace_.ops.reserve(trace_op_reserve);
+  trace_.ops.reserve(kInitialTraceOpCapacity);
   last_call_time_us_ = clock_->NowUs();
   streams_[0] = true;  // legacy default stream
   current_device_ = rank % spec_.cluster.gpus_per_node;
@@ -782,9 +782,8 @@ WorkerTrace WorkerEmulator::TakeTrace() {
 
 // ---- JobEmulation --------------------------------------------------------------
 
-WorkerEmulator& JobEmulation::CreateWorker(int rank, const HostClock* clock, bool full) {
-  workers_.push_back(std::make_unique<WorkerEmulator>(rank, spec_, &bootstrap_, clock,
-                                                      full ? kInitialTraceOpCapacity : 0));
+WorkerEmulator& JobEmulation::CreateWorker(int rank, const HostClock* clock) {
+  workers_.push_back(std::make_unique<WorkerEmulator>(rank, spec_, &bootstrap_, clock));
   return *workers_.back();
 }
 

@@ -56,11 +56,8 @@ struct EmulatorStats {
 
 class WorkerEmulator final : public DeviceApi {
  public:
-  // `trace_op_reserve` pre-sizes the op log (0 = grow on demand): full ranks
-  // record hundreds of ops, while comm-init stubs record a handful — at
-  // hyperscale world sizes reserving for stubs would dominate transient heap.
   WorkerEmulator(int rank, const EmulationSpec& spec, JobBootstrap* bootstrap,
-                 const HostClock* clock, size_t trace_op_reserve);
+                 const HostClock* clock);
 
   // ---- DeviceApi ----------------------------------------------------------
   CudaError cudaGetDeviceCount(int* count) override;
@@ -244,9 +241,7 @@ class JobEmulation {
   JobBootstrap& bootstrap() { return bootstrap_; }
 
   // Creates (and owns) the emulator for `rank`. Not thread-safe.
-  // `full` distinguishes fully-emulated ranks (op log pre-sized) from
-  // comm-init-only stubs (no reservation).
-  WorkerEmulator& CreateWorker(int rank, const HostClock* clock, bool full = true);
+  WorkerEmulator& CreateWorker(int rank, const HostClock* clock);
 
   // Collects traces from every created worker, in rank order.
   std::vector<WorkerTrace> TakeTraces();

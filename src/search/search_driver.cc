@@ -38,7 +38,6 @@ Result<TrialResult> ExecuteTrial(const MayaPipeline& pipeline, const ModelConfig
   request.model = model;
   request.config = config;
   request.deduplicate_workers = options.deduplicate_workers;
-  request.selective_launch = options.selective_launch;
   request.virtual_folds = options.virtual_folds;
   request.cancel = options.cancel;
   Result<PredictionReport> report = pipeline.Predict(request);

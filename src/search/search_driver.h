@@ -22,12 +22,9 @@ struct SearchOptions {
   bool enable_pruning = true;
   bool enable_cache = true;
   bool deduplicate_workers = true;
-  // Emulate only analytically-unique ranks per trial (§7.4, generalized to
-  // all engines) — the emulation-stage analogue of deduplicate_workers.
-  bool selective_launch = false;
-  // Hyperscale virtual folding per trial (see PredictionRequest): the
-  // O(unique-classes) launch with RankSet-carried twin membership. Takes
-  // precedence over selective_launch; trial outcomes are bit-identical.
+  // Hyperscale virtual folding per trial (see PredictionRequest): emulate
+  // one representative per analytic rank class (§7.4) — the emulation-stage
+  // analogue of deduplicate_workers. Trial outcomes are bit-identical.
   bool virtual_folds = false;
   // Trials evaluated concurrently (stateless searchers only; ask/tell
   // searchers are inherently sequential).

@@ -62,6 +62,19 @@ Result<InterNodeFabric> InterNodeFabricFromName(const std::string& name) {
   return Status::InvalidArgument("unknown inter-node fabric '" + name + "'");
 }
 
+// Reads the launch-mode knob: `virtual_folds`, or its retired alias
+// `selective_launch`, which is parsed but never written. Either set to true
+// selects virtual folds.
+Status ParseVirtualFolds(const JsonValue& root, bool& virtual_folds) {
+  for (const char* key : {"virtual_folds", "selective_launch"}) {
+    if (root.Has(key)) {
+      MAYA_ASSIGN_OR_RETURN(const bool enabled, ToBool(root.at(key)));
+      virtual_folds = virtual_folds || enabled;
+    }
+  }
+  return Status::Ok();
+}
+
 void WriteSearchOptions(JsonWriter& w, const SearchOptions& options) {
   w.BeginObject();
   w.Field("algorithm", std::string_view(options.algorithm));
@@ -69,7 +82,6 @@ void WriteSearchOptions(JsonWriter& w, const SearchOptions& options) {
   w.Field("enable_pruning", options.enable_pruning);
   w.Field("enable_cache", options.enable_cache);
   w.Field("deduplicate_workers", options.deduplicate_workers);
-  w.Field("selective_launch", options.selective_launch);
   w.Field("virtual_folds", options.virtual_folds);
   w.Field("concurrency", static_cast<int64_t>(options.concurrency));
   w.Field("early_stop_patience", static_cast<int64_t>(options.early_stop_patience));
@@ -100,12 +112,7 @@ Result<SearchOptions> ParseSearchOptions(const JsonValue& value) {
     MAYA_ASSIGN_OR_RETURN(options.deduplicate_workers,
                           ToBool(value.at("deduplicate_workers")));
   }
-  if (value.Has("selective_launch")) {
-    MAYA_ASSIGN_OR_RETURN(options.selective_launch, ToBool(value.at("selective_launch")));
-  }
-  if (value.Has("virtual_folds")) {
-    MAYA_ASSIGN_OR_RETURN(options.virtual_folds, ToBool(value.at("virtual_folds")));
-  }
+  MAYA_RETURN_IF_ERROR(ParseVirtualFolds(value, options.virtual_folds));
   if (value.Has("concurrency")) {
     MAYA_ASSIGN_OR_RETURN(field, ToInt(value.at("concurrency")));
     options.concurrency = static_cast<int>(field);
@@ -347,7 +354,6 @@ Result<MetricsReport> ParseMetricsReport(const JsonValue& value) {
 template <typename T>
 void WritePredictLikeCommon(JsonWriter& w, const T& payload) {
   w.Field("deduplicate_workers", payload.deduplicate_workers);
-  w.Field("selective_launch", payload.selective_launch);
   w.Field("virtual_folds", payload.virtual_folds);
   if (!payload.deployment.empty()) {
     w.Field("deployment", std::string_view(payload.deployment));
@@ -359,12 +365,7 @@ Status ParsePredictLikeCommon(const JsonValue& root, T& payload) {
   if (root.Has("deduplicate_workers")) {
     MAYA_ASSIGN_OR_RETURN(payload.deduplicate_workers, ToBool(root.at("deduplicate_workers")));
   }
-  if (root.Has("selective_launch")) {
-    MAYA_ASSIGN_OR_RETURN(payload.selective_launch, ToBool(root.at("selective_launch")));
-  }
-  if (root.Has("virtual_folds")) {
-    MAYA_ASSIGN_OR_RETURN(payload.virtual_folds, ToBool(root.at("virtual_folds")));
-  }
+  MAYA_RETURN_IF_ERROR(ParseVirtualFolds(root, payload.virtual_folds));
   if (root.Has("deployment")) {
     MAYA_ASSIGN_OR_RETURN(payload.deployment, ToString(root.at("deployment")));
   }

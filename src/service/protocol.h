@@ -86,9 +86,12 @@ struct PredictPayload {
   ModelConfig model;
   TrainConfig config;
   bool deduplicate_workers = true;
-  bool selective_launch = false;
   // Hyperscale virtual folding (see PredictionRequest::virtual_folds).
   bool virtual_folds = false;
+  // Retired launch mode, kept for in-process callers: true selects virtual
+  // folds. The wire key of the same name parses into virtual_folds and is
+  // never written.
+  bool selective_launch = false;
   // Target deployment name ("h100x32", "v100x16", or a registered name);
   // empty answers on the engine's default deployment.
   std::string deployment;
@@ -98,7 +101,6 @@ struct BatchPredictPayload {
   ModelConfig model;
   std::vector<TrainConfig> configs;
   bool deduplicate_workers = true;
-  bool selective_launch = false;
   bool virtual_folds = false;
   std::string deployment;
 };
@@ -116,7 +118,6 @@ struct WhatIfOomPayload {
   ModelConfig model;
   TrainConfig config;
   bool deduplicate_workers = true;
-  bool selective_launch = false;
   bool virtual_folds = false;
   std::string deployment;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/fault_injection.h"
@@ -616,14 +617,12 @@ Result<std::shared_ptr<const Deployment>> ServiceEngine::ResolveDeployment(
 Result<PredictResult> ServiceEngine::RunPredict(const Deployment& deployment,
                                                 const ModelConfig& model,
                                                 const TrainConfig& config,
-                                                bool deduplicate_workers,
-                                                bool selective_launch, bool virtual_folds,
+                                                bool deduplicate_workers, bool virtual_folds,
                                                 const CancelToken* cancel) const {
   PredictionRequest predict;
   predict.model = model;
   predict.config = config;
   predict.deduplicate_workers = deduplicate_workers;
-  predict.selective_launch = selective_launch;
   predict.virtual_folds = virtual_folds;
   predict.cancel = cancel;
   Result<PredictionReport> report = deployment.pipeline->Predict(predict);
@@ -655,9 +654,12 @@ ServiceResponse ServiceEngine::ExecutePredictLike(const ServiceRequest& request,
     return ErrorResponse(request, ErrorCodeFor(deployment.status()),
                          deployment.status().ToString());
   }
-  Result<PredictResult> result =
-      RunPredict(**deployment, payload.model, payload.config, payload.deduplicate_workers,
-                 payload.selective_launch, payload.virtual_folds, cancel);
+  bool virtual_folds = payload.virtual_folds;
+  if constexpr (std::is_same_v<Payload, PredictPayload>) {
+    virtual_folds = virtual_folds || payload.selective_launch;
+  }
+  Result<PredictResult> result = RunPredict(**deployment, payload.model, payload.config,
+                                            payload.deduplicate_workers, virtual_folds, cancel);
   if (!result.ok()) {
     return ErrorResponse(request, ErrorCodeFor(result.status()), result.status().ToString());
   }
@@ -707,8 +709,7 @@ ServiceResponse ServiceEngine::ExecuteBatchPredict(const ServiceRequest& request
     // stage checkpoint of the item in flight (never mid-cache-publish).
     Result<PredictResult> result =
         RunPredict(**deployment, payload.model, payload.configs[index],
-                   payload.deduplicate_workers, payload.selective_launch,
-                   payload.virtual_folds, cancel);
+                   payload.deduplicate_workers, payload.virtual_folds, cancel);
     if (!result.ok()) {
       return ErrorResponse(request, ErrorCodeFor(result.status()),
                            StrFormat("batch item %zu: ", index) + result.status().ToString());

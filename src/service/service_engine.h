@@ -248,10 +248,9 @@ class ServiceEngine {
   Result<std::shared_ptr<const Deployment>> ResolveDeployment(const std::string& name) const;
   Result<PredictResult> RunPredict(const Deployment& deployment, const ModelConfig& model,
                                    const TrainConfig& config, bool deduplicate_workers,
-                                   bool selective_launch, bool virtual_folds,
-                                   const CancelToken* cancel) const;
-  // Shared executor for predict and whatif_oom (field-identical payloads
-  // with identical execution; only the response kind differs).
+                                   bool virtual_folds, const CancelToken* cancel) const;
+  // Shared executor for predict and whatif_oom (identical execution; only
+  // the response kind differs).
   template <typename Payload>
   ServiceResponse ExecutePredictLike(const ServiceRequest& request, const Payload& payload,
                                      const CancelToken* cancel) const;

@@ -133,16 +133,13 @@ Result<JobTrace> TraceCollator::Collate(std::vector<WorkerTrace> workers,
     MAYA_RETURN_IF_ERROR(BuildCommGroups(workers, job.comms));
   }
 
-  // Group full traces by structural fingerprint (dynamic dedup) and fold
-  // comm-init-only stubs onto the representative of their equivalence class
-  // (selective launch provides such stubs for every non-unique rank). With
-  // dedup disabled, each full trace keys its own group.
+  // Group traces by structural fingerprint (dynamic dedup). With dedup
+  // disabled, each trace keys its own group.
   struct Group {
     int representative_index = -1;  // into `workers`
     RankSet ranks;
   };
   std::map<uint64_t, Group> groups;  // ordered: deterministic output
-  std::vector<int> stub_indices;
 
   // A worker contributes its virtual fold set when it carries one,
   // otherwise just its own rank.
@@ -159,17 +156,11 @@ Result<JobTrace> TraceCollator::Collate(std::vector<WorkerTrace> workers,
   // built by the sequential index walk below, so grouping (and therefore the
   // collated output) is bit-identical to the all-sequential pass.
   std::vector<uint64_t> fingerprints(workers.size(), 0);
-  size_t full_traces = 0;
-  for (const WorkerTrace& worker : workers) {
-    full_traces += worker.comm_init_only ? 0 : 1;
-  }
   const bool parallel_fingerprints = options_.deduplicate && options_.pool != nullptr &&
-                                     full_traces >= options_.parallel_fingerprint_threshold;
+                                     workers.size() >= options_.parallel_fingerprint_threshold;
   if (parallel_fingerprints) {
     options_.pool->ParallelFor(workers.size(), [&workers, &fingerprints](size_t i) {
-      if (!workers[i].comm_init_only) {
-        fingerprints[i] = workers[i].Fingerprint();
-      }
+      fingerprints[i] = workers[i].Fingerprint();
     });
   }
   // Cancellation checkpoint between the (possibly parallel) fingerprint pass
@@ -179,10 +170,6 @@ Result<JobTrace> TraceCollator::Collate(std::vector<WorkerTrace> workers,
   for (size_t i = 0; i < workers.size(); ++i) {
     const WorkerTrace& worker = workers[i];
     stats_.total_ops_in += worker.ops.size();
-    if (worker.comm_init_only) {
-      stub_indices.push_back(static_cast<int>(i));
-      continue;
-    }
     const uint64_t key = !options_.deduplicate ? static_cast<uint64_t>(worker.rank)
                          : parallel_fingerprints ? fingerprints[i]
                                                  : worker.Fingerprint();
@@ -278,29 +265,6 @@ Result<JobTrace> TraceCollator::Collate(std::vector<WorkerTrace> workers,
         contribute(group.ranks, workers[static_cast<size_t>(chain[position])]);
       }
       groups[HashCombine(fingerprint, ++synthetic_key)] = std::move(group);
-    }
-  }
-
-  // Stubs join the group of their declared representative (duplicate_of).
-  for (int index : stub_indices) {
-    const WorkerTrace& stub = workers[static_cast<size_t>(index)];
-    if (stub.duplicate_of < 0) {
-      return Status::InvalidArgument(
-          StrFormat("comm-init-only stub rank %d lacks duplicate_of", stub.rank));
-    }
-    bool placed = false;
-    for (auto& [fp, group] : groups) {
-      (void)fp;
-      const WorkerTrace& rep = workers[static_cast<size_t>(group.representative_index)];
-      if (rep.rank == stub.duplicate_of) {
-        contribute(group.ranks, stub);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      return Status::InvalidArgument(StrFormat("stub rank %d names unknown representative %d",
-                                               stub.rank, stub.duplicate_of));
     }
   }
 

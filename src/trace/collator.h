@@ -56,7 +56,7 @@ struct CollationOptions {
   // the collated trace is bit-identical to the sequential pass. Null keeps
   // collation sequential.
   ThreadPool* pool = nullptr;
-  // Minimum full worker traces before the pool engages (hashing a handful of
+  // Minimum worker traces before the pool engages (hashing a handful of
   // small traces is cheaper than the fan-out).
   size_t parallel_fingerprint_threshold = 4;
   // Cooperative-cancellation checkpoint after the fingerprint pass: a
@@ -77,16 +77,16 @@ class TraceCollator {
  public:
   explicit TraceCollator(CollationOptions options = {}) : options_(options) {}
 
-  // Consumes worker traces (all ranks, or unique ranks + comm-init-only
-  // stubs in selective-launch mode) and produces the unified job trace.
-  // Fails when communicator evidence is inconsistent (mismatched sizes,
-  // duplicate rank_in_comm claims) or when folding would break collective
-  // pairing semantics.
+  // Consumes worker traces (every rank under full emulation, one
+  // representative per class under virtual folds) and produces the unified
+  // job trace. Fails when communicator evidence is inconsistent (mismatched
+  // sizes, duplicate rank_in_comm claims) or when folding would break
+  // collective pairing semantics.
   // `resolved_comms` is the analytically-resolved communicator membership
-  // from the hierarchical selective launcher (hyperscale mode): when
-  // non-empty it is used verbatim and the per-worker CommInitRecord
-  // evidence walk is skipped — virtual folded ranks never emit comm-init
-  // stubs, so their membership cannot be reconstructed from traces alone.
+  // from the virtual-folds launcher (hyperscale mode): when non-empty it is
+  // used verbatim and the per-worker CommInitRecord evidence walk is
+  // skipped — virtual folded ranks never run, so their membership cannot be
+  // reconstructed from traces alone.
   Result<JobTrace> Collate(std::vector<WorkerTrace> workers,
                            std::unordered_map<uint64_t, CommGroup> resolved_comms = {});
 

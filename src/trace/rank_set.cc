@@ -87,8 +87,8 @@ void RankSet::MergeFrom(const RankSet& other) {
       rebuilt.AddSpan(span.base, span.count, span.stride);
     }
   } else {
-    // Element-interleaved sets (e.g. stride-folded twins from the
-    // materialized path) — materialize, sort, rebuild. Only small sets
+    // Element-interleaved sets (e.g. stride-folded twins under full
+    // emulation) — materialize, sort, rebuild. Only small sets
     // reach this.
     std::vector<int64_t> members;
     members.reserve(size() + other.size());

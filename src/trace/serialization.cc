@@ -126,8 +126,6 @@ Result<RankSet> ParseRankSpans(const JsonValue& value) {
 void WriteWorker(JsonWriter& w, const WorkerTrace& worker) {
   w.BeginObject();
   w.Field("rank", static_cast<int64_t>(worker.rank));
-  w.Field("comm_init_only", worker.comm_init_only);
-  w.Field("duplicate_of", static_cast<int64_t>(worker.duplicate_of));
   if (!worker.represented_ranks.empty()) {
     w.Key("represented");
     WriteRankSpans(w, worker.represented_ranks);
@@ -247,15 +245,13 @@ Result<TraceOp> ParseOp(const JsonValue& value) {
 
 Result<WorkerTrace> ParseWorkerValue(const JsonValue& v) {
   WorkerTrace worker;
-  MAYA_RETURN_IF_ERROR(RequireKeys(v, {"rank", "comm_init_only", "duplicate_of",
-                                       "peak_device_bytes", "final_device_bytes", "comm_inits",
-                                       "events"}));
+  // Unknown keys are ignored, so traces written with the retired
+  // per-worker stub keys still parse.
+  MAYA_RETURN_IF_ERROR(RequireKeys(v, {"rank", "peak_device_bytes", "final_device_bytes",
+                                       "comm_inits", "events"}));
   int64_t field = 0;
   MAYA_ASSIGN_OR_RETURN(field, ToInt(v.at("rank")));
   worker.rank = static_cast<int>(field);
-  MAYA_ASSIGN_OR_RETURN(worker.comm_init_only, ToBool(v.at("comm_init_only")));
-  MAYA_ASSIGN_OR_RETURN(field, ToInt(v.at("duplicate_of")));
-  worker.duplicate_of = static_cast<int>(field);
   MAYA_ASSIGN_OR_RETURN(worker.peak_device_bytes, ToUint(v.at("peak_device_bytes")));
   MAYA_ASSIGN_OR_RETURN(worker.final_device_bytes, ToUint(v.at("final_device_bytes")));
   if (v.Has("represented")) {

@@ -16,8 +16,8 @@ namespace maya {
 std::string SerializeWorkerTrace(const WorkerTrace& worker);
 std::string SerializeJobTrace(const JobTrace& job);
 
-// Parses the output of SerializeWorkerTrace (strict: unknown fields are
-// errors, the format is self-describing within this repository only).
+// Parses the output of SerializeWorkerTrace (strict: missing fields are
+// errors; unknown keys are ignored).
 Result<WorkerTrace> ParseWorkerTrace(const std::string& json);
 
 // Parses the output of SerializeJobTrace — the payload format the prediction

@@ -110,18 +110,12 @@ struct WorkerTrace {
   std::vector<CommInitRecord> comm_inits;
   uint64_t peak_device_bytes = 0;
   uint64_t final_device_bytes = 0;
-  // True for selective-launch stubs that only ran communicator bootstrap
-  // (hyperscale mode, §7.4); such workers have comm_inits but no ops.
-  bool comm_init_only = false;
-  // For stubs: the global rank of the fully-emulated representative this
-  // worker duplicates (supplied by the selective launcher); -1 otherwise.
-  int duplicate_of = -1;
-  // Virtual folded ranks (hyperscale mode): every global rank this trace
-  // stands for, including `rank` itself. Empty means the trace represents
-  // only its own rank (the materialized path). Populated by the virtual
-  // selective launcher so folded twins are never emulated, never
-  // materialized as stubs, and ride through collation/simulation as a
-  // multiplicity attached to the representative.
+  // Virtual folded ranks (hyperscale mode, §7.4): every global rank this
+  // trace stands for, including `rank` itself. Empty means the trace
+  // represents only its own rank (full emulation). Populated by the
+  // virtual-folds launcher so folded twins are never emulated and ride
+  // through collation/simulation as a multiplicity attached to the
+  // representative.
   RankSet represented_ranks;
 
   // Rolling structural fingerprint over all ops; equal fingerprints mean

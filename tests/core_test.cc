@@ -139,12 +139,12 @@ TEST_F(PipelineTest, DedupShrinksSimulatedWorkers) {
   EXPECT_EQ(report->collation.duplicates_folded, 6);
 }
 
-TEST_F(PipelineTest, SelectiveLaunchMatchesDedupPath) {
+TEST_F(PipelineTest, VirtualFoldsMatchDedupPath) {
   PredictionRequest dynamic{TinyGpt(), BaseConfig()};
-  PredictionRequest selective{TinyGpt(), BaseConfig()};
-  selective.selective_launch = true;
+  PredictionRequest folded{TinyGpt(), BaseConfig()};
+  folded.virtual_folds = true;
   const Result<PredictionReport> a = pipeline_->Predict(dynamic);
-  const Result<PredictionReport> b = pipeline_->Predict(selective);
+  const Result<PredictionReport> b = pipeline_->Predict(folded);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NEAR(a->iteration_time_us / b->iteration_time_us, 1.0, 1e-9);
@@ -159,14 +159,14 @@ TEST_F(PipelineTest, ParallelEmulationMatchesSerialPrediction) {
   parallel_options.context = ExecutionContext::Create(4);
   MayaPipeline parallel(*cluster_, bank_->kernel.get(), bank_->collective.get(),
                         parallel_options);
-  for (bool selective : {false, true}) {
+  for (bool virtual_folds : {false, true}) {
     PredictionRequest request{TinyGpt(), BaseConfig()};
-    request.selective_launch = selective;
+    request.virtual_folds = virtual_folds;
     const Result<PredictionReport> a = parallel.Predict(request);
     const Result<PredictionReport> b = pipeline_->Predict(request);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->iteration_time_us, b->iteration_time_us) << "selective=" << selective;
+    EXPECT_EQ(a->iteration_time_us, b->iteration_time_us) << "virtual_folds=" << virtual_folds;
     EXPECT_EQ(a->mfu, b->mfu);
     EXPECT_EQ(a->full_workers_emulated, b->full_workers_emulated);
   }
@@ -188,20 +188,20 @@ TEST_F(PipelineTest, ParallelEmulationOomMatchesSerial) {
   EXPECT_EQ(a->oom_detail, b->oom_detail);
 }
 
-TEST_F(PipelineTest, GeneralizedSelectiveLaunchMatchesDedupPath) {
+TEST_F(PipelineTest, GeneralizedVirtualFoldsMatchDedupPath) {
   // FSDP: one fully-emulated rank stands for all eight.
   TrainConfig fsdp = BaseConfig();
   fsdp.framework = ParallelFramework::kFsdp;
   fsdp.tensor_parallel = 1;
   fsdp.pipeline_parallel = 1;
   PredictionRequest dynamic{TinyGpt(), fsdp};
-  PredictionRequest selective{TinyGpt(), fsdp};
-  selective.selective_launch = true;
+  PredictionRequest folded{TinyGpt(), fsdp};
+  folded.virtual_folds = true;
   const Result<PredictionReport> a = pipeline_->Predict(dynamic);
-  const Result<PredictionReport> b = pipeline_->Predict(selective);
+  const Result<PredictionReport> b = pipeline_->Predict(folded);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  // The dynamic-dedup fold and the selective launch pick the same
+  // The dynamic-dedup fold and the virtual folds pick the same
   // representative (rank 0), so the predictions are bit-identical.
   EXPECT_EQ(a->iteration_time_us, b->iteration_time_us);
   EXPECT_EQ(a->mfu, b->mfu);
@@ -210,16 +210,16 @@ TEST_F(PipelineTest, GeneralizedSelectiveLaunchMatchesDedupPath) {
   EXPECT_EQ(b->collation.unique_workers, 1);
 }
 
-TEST_F(PipelineTest, GeneralizedSelectiveLaunchVisionMatchesDedupPath) {
+TEST_F(PipelineTest, GeneralizedVirtualFoldsVisionMatchDedupPath) {
   TrainConfig ddp;
   ddp.framework = ParallelFramework::kDdp;
   ddp.global_batch_size = 256;
   ddp.microbatch_multiplier = 1;
   PredictionRequest dynamic{ResNet152(), ddp};
-  PredictionRequest selective{ResNet152(), ddp};
-  selective.selective_launch = true;
+  PredictionRequest folded{ResNet152(), ddp};
+  folded.virtual_folds = true;
   const Result<PredictionReport> a = pipeline_->Predict(dynamic);
-  const Result<PredictionReport> b = pipeline_->Predict(selective);
+  const Result<PredictionReport> b = pipeline_->Predict(folded);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->iteration_time_us, b->iteration_time_us);
@@ -228,7 +228,7 @@ TEST_F(PipelineTest, GeneralizedSelectiveLaunchVisionMatchesDedupPath) {
 
 TEST_F(PipelineTest, SymmetricDedupOnVsOffBitIdentical) {
   // Twins are seeded with class-wide host jitter, so folding them (dynamic
-  // dedup or selective launch) is exactly lossless: parallel/dedup outputs
+  // dedup or virtual folds) is exactly lossless: parallel/dedup outputs
   // must be bit-identical to the sequential, dedup-off baseline on symmetric
   // configs — the Fig. 14 / BENCH_emulation ablation anchor.
   struct Case {
@@ -245,10 +245,10 @@ TEST_F(PipelineTest, SymmetricDedupOnVsOffBitIdentical) {
     config.global_batch_size = 32;
     PredictionRequest off{TinyGpt(), config};
     off.deduplicate_workers = false;
-    PredictionRequest sel{TinyGpt(), config};
-    sel.selective_launch = true;
+    PredictionRequest folded{TinyGpt(), config};
+    folded.virtual_folds = true;
     const Result<PredictionReport> a = pipeline_->Predict(off);
-    const Result<PredictionReport> b = pipeline_->Predict(sel);
+    const Result<PredictionReport> b = pipeline_->Predict(folded);
     ASSERT_TRUE(a.ok()) << test_case.label;
     ASSERT_TRUE(b.ok()) << test_case.label;
     EXPECT_EQ(a->iteration_time_us, b->iteration_time_us) << test_case.label;
@@ -265,10 +265,10 @@ TEST_F(PipelineTest, SymmetricDedupOnVsOffBitIdentical) {
   ddp.microbatch_multiplier = 1;
   PredictionRequest vision_off{ResNet152(), ddp};
   vision_off.deduplicate_workers = false;
-  PredictionRequest vision_sel{ResNet152(), ddp};
-  vision_sel.selective_launch = true;
+  PredictionRequest vision_folded{ResNet152(), ddp};
+  vision_folded.virtual_folds = true;
   const Result<PredictionReport> e = pipeline_->Predict(vision_off);
-  const Result<PredictionReport> f = pipeline_->Predict(vision_sel);
+  const Result<PredictionReport> f = pipeline_->Predict(vision_folded);
   ASSERT_TRUE(e.ok());
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(e->iteration_time_us, f->iteration_time_us);

@@ -60,12 +60,14 @@ TEST(LayoutTest, DpGroupStridesByTp) {
 
 TEST(LayoutTest, UniqueRanksOnePerStage) {
   const MegatronLayout layout(64, 8, 8);  // the paper's 64-GPU TP8/DP8 example
-  EXPECT_EQ(layout.UniqueRanks().size(), 8u);
+  std::set<int> representatives;
   for (int rank = 0; rank < 64; ++rank) {
+    representatives.insert(layout.RepresentativeOf(rank));
     EXPECT_EQ(layout.pp_stage(layout.RepresentativeOf(rank)), layout.pp_stage(rank));
     EXPECT_EQ(layout.tp_index(layout.RepresentativeOf(rank)), 0);
     EXPECT_EQ(layout.dp_index(layout.RepresentativeOf(rank)), 0);
   }
+  EXPECT_EQ(representatives.size(), 8u);
 }
 
 TEST(LayoutTest, GroupIndicesDisjoint) {
@@ -311,60 +313,7 @@ TEST(MegatronEngineTest, RecomputationRescuesMemory) {
   EXPECT_FALSE(with->oom) << with->oom_detail;
 }
 
-// ---- Selective launch -------------------------------------------------------------------
-
-TEST(SelectiveLaunchTest, StubsCoverNonUniqueRanks) {
-  const ClusterSpec cluster = H100Cluster(8);
-  const ModelConfig model = TinyGpt();
-  TrainConfig config;
-  config.global_batch_size = 32;
-  config.tensor_parallel = 2;
-  config.pipeline_parallel = 2;
-  LaunchOptions options;
-  options.selective_launch = true;
-  Result<LaunchResult> launched = EmulateJob(model, config, cluster, options);
-  ASSERT_TRUE(launched.ok()) << launched.status().ToString();
-  EXPECT_EQ(launched->full_workers_emulated, 2);  // one per pipeline stage
-  int stubs = 0;
-  for (const WorkerTrace& trace : launched->traces) {
-    if (trace.comm_init_only) {
-      ++stubs;
-      EXPECT_GE(trace.duplicate_of, 0);
-      EXPECT_TRUE(trace.ops.empty());
-      EXPECT_FALSE(trace.comm_inits.empty());
-    }
-  }
-  EXPECT_EQ(stubs, 6);
-}
-
-TEST(SelectiveLaunchTest, MatchesFullEmulationPrediction) {
-  const ClusterSpec cluster = H100Cluster(8);
-  const ModelConfig model = TinyGpt();
-  TrainConfig config;
-  config.global_batch_size = 32;
-  config.tensor_parallel = 2;
-  config.pipeline_parallel = 2;
-  GroundTruthExecutor executor(cluster, 17);
-
-  auto run = [&](bool selective) {
-    LaunchOptions options;
-    options.selective_launch = selective;
-    Result<LaunchResult> launched = EmulateJob(model, config, cluster, options);
-    CHECK(launched.ok());
-    TraceCollator collator;  // dedup on
-    Result<JobTrace> job = collator.Collate(std::move(launched->traces));
-    CHECK(job.ok()) << job.status().ToString();
-    Result<SimReport> report = executor.Execute(*job);
-    CHECK(report.ok()) << report.status().ToString();
-    return report->total_time_us;
-  };
-  const double full = run(false);
-  const double selective = run(true);
-  // Same representatives, same instance keys, same simulation.
-  EXPECT_NEAR(selective / full, 1.0, 1e-9);
-}
-
-// ---- Generalized selective launch (FSDP / vision) ---------------------------
+// ---- Virtual folds (FSDP / vision) ------------------------------------------
 
 // Exact (bit-level) equality of two launches: trace ops (including measured
 // host delays), comm evidence, memory highwater, and the launcher's counters.
@@ -381,57 +330,53 @@ void ExpectLaunchIdentical(const LaunchResult& a, const LaunchResult& b) {
   }
 }
 
-TEST(SelectiveLaunchTest, FsdpFoldsEveryRankOntoRankZero) {
+TEST(VirtualFoldsTest, FsdpFoldsEveryRankOntoRankZero) {
   TrainConfig config;
   config.framework = ParallelFramework::kFsdp;
   config.global_batch_size = 32;
   LaunchOptions options;
-  options.selective_launch = true;
+  options.virtual_folds = true;
   Result<LaunchResult> launched = EmulateJob(TinyGpt(), config, H100Cluster(8), options);
   ASSERT_TRUE(launched.ok()) << launched.status().ToString();
   EXPECT_EQ(launched->full_workers_emulated, 1);
-  for (const WorkerTrace& trace : launched->traces) {
-    if (trace.rank == 0) {
-      EXPECT_FALSE(trace.comm_init_only);
-      continue;
-    }
-    EXPECT_TRUE(trace.comm_init_only);
-    EXPECT_EQ(trace.duplicate_of, 0);
-    EXPECT_TRUE(trace.ops.empty());
-    ASSERT_EQ(trace.comm_inits.size(), 1u);  // world-comm membership evidence
-    EXPECT_EQ(trace.comm_inits[0].rank_in_comm, trace.rank);
-  }
+  ASSERT_EQ(launched->traces.size(), 1u);
+  EXPECT_EQ(launched->traces[0].represented_ranks.size(), 8u);
   // The representative's trace is byte-identical to its full-emulation twin —
-  // selective launch changes which ranks run, never what a rank records.
+  // virtual folds change which ranks run, never what a rank records.
   Result<LaunchResult> full = EmulateJob(TinyGpt(), config, H100Cluster(8));
   ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(launched->traces[0] == full->traces[0]);
+  WorkerTrace representative = launched->traces[0];
+  representative.represented_ranks = RankSet{};
+  EXPECT_TRUE(representative == full->traces[0]);
   // Fold criterion: every full rank shares the representative's structural
   // fingerprint (the FSDP script is rank-symmetric).
   for (const WorkerTrace& trace : full->traces) {
     EXPECT_EQ(trace.Fingerprint(), full->traces[0].Fingerprint());
   }
-  // Collation accepts the stubs and folds the job to one simulated worker.
+  // Collation resolves the world communicator analytically and keeps the
+  // job at one simulated worker standing for all eight ranks.
   TraceCollator collator;
-  Result<JobTrace> job = collator.Collate(std::move(launched->traces));
+  Result<JobTrace> job =
+      collator.Collate(std::move(launched->traces), std::move(launched->resolved_comms));
   ASSERT_TRUE(job.ok()) << job.status().ToString();
   EXPECT_EQ(job->workers.size(), 1u);
   EXPECT_EQ(job->folded_ranks[0].size(), 8u);
 }
 
-TEST(SelectiveLaunchTest, VisionFoldsDataParallelTwins) {
+TEST(VirtualFoldsTest, VisionFoldsDataParallelTwins) {
   const ClusterSpec cluster = A40Node();
   TrainConfig config;
   config.framework = ParallelFramework::kDdp;
   config.global_batch_size = 256;
   config.microbatch_multiplier = 1;
   LaunchOptions options;
-  options.selective_launch = true;
+  options.virtual_folds = true;
   Result<LaunchResult> launched = EmulateJob(ResNet152(), config, cluster, options);
   ASSERT_TRUE(launched.ok()) << launched.status().ToString();
   EXPECT_EQ(launched->full_workers_emulated, 1);
   TraceCollator collator;
-  Result<JobTrace> job = collator.Collate(std::move(launched->traces));
+  Result<JobTrace> job =
+      collator.Collate(std::move(launched->traces), std::move(launched->resolved_comms));
   ASSERT_TRUE(job.ok()) << job.status().ToString();
   EXPECT_EQ(job->workers.size(), 1u);
   GroundTruthExecutor executor(cluster, 7);
@@ -446,7 +391,7 @@ struct ParallelCase {
   const char* label;
   ParallelFramework framework;
   bool vision = false;
-  bool selective = false;
+  bool virtual_folds = false;
 };
 
 class ParallelLaunchSweep : public ::testing::TestWithParam<ParallelCase> {};
@@ -470,7 +415,7 @@ TEST_P(ParallelLaunchSweep, BitIdenticalToSequential) {
   }
   ThreadPool pool(4);
   LaunchOptions sequential;
-  sequential.selective_launch = param.selective;
+  sequential.virtual_folds = param.virtual_folds;
   LaunchOptions parallel = sequential;
   parallel.emulation_pool = &pool;
   parallel.min_parallel_ranks = 1;  // force the parallel arm below the adaptive floor
@@ -485,11 +430,11 @@ TEST_P(ParallelLaunchSweep, BitIdenticalToSequential) {
 INSTANTIATE_TEST_SUITE_P(
     Frameworks, ParallelLaunchSweep,
     ::testing::Values(ParallelCase{"megatron", ParallelFramework::kMegatron, false, false},
-                      ParallelCase{"megatron_sel", ParallelFramework::kMegatron, false, true},
+                      ParallelCase{"megatron_virtual", ParallelFramework::kMegatron, false, true},
                       ParallelCase{"fsdp", ParallelFramework::kFsdp, false, false},
-                      ParallelCase{"fsdp_sel", ParallelFramework::kFsdp, false, true},
+                      ParallelCase{"fsdp_virtual", ParallelFramework::kFsdp, false, true},
                       ParallelCase{"vision", ParallelFramework::kDdp, true, false},
-                      ParallelCase{"vision_sel", ParallelFramework::kDdp, true, true}),
+                      ParallelCase{"vision_virtual", ParallelFramework::kDdp, true, true}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST(ParallelLaunchTest, BorrowedPoolMatchesSequential) {

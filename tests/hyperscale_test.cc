@@ -1,5 +1,5 @@
 // Hyperscale virtual-folds tests: RankSet/RankLookup primitives, bit-identity
-// of the virtual (never-materialized) launch against the materialized paths
+// of the virtual (never-materialized) launch against full emulation
 // across engines / caches / parallelism / OOM, serialization of folded spans
 // (including the legacy folded_ranks format), and the service-layer wire and
 // batch-grouping contracts.
@@ -199,13 +199,11 @@ class HyperscaleTest : public ::testing::Test {
   }
 
   static PredictionReport PredictOrDie(const MayaPipeline& pipeline, const ModelConfig& model,
-                                       const TrainConfig& config, bool virtual_folds,
-                                       bool selective_launch = false) {
+                                       const TrainConfig& config, bool virtual_folds) {
     PredictionRequest request;
     request.model = model;
     request.config = config;
     request.virtual_folds = virtual_folds;
-    request.selective_launch = selective_launch;
     Result<PredictionReport> report = pipeline.Predict(request);
     CHECK(report.ok()) << report.status().ToString();
     return *std::move(report);
@@ -230,19 +228,6 @@ TEST_F(HyperscaleTest, VirtualFoldsMatchFullEmulationMegatron) {
       PredictOrDie(pipeline, TinyGpt(), MegatronConfig(), /*virtual_folds=*/true);
   ASSERT_FALSE(materialized.oom) << materialized.oom_detail;
   ExpectSameOutcome(materialized, virtualized);
-}
-
-TEST_F(HyperscaleTest, VirtualFoldsMatchSelectiveLaunchCounters) {
-  // Selective launch and virtual folds emulate the same representative set,
-  // so even the launch-mode byproducts line up.
-  const MayaPipeline pipeline = MakePipeline();
-  const PredictionReport selective = PredictOrDie(pipeline, TinyGpt(), MegatronConfig(),
-                                                  /*virtual_folds=*/false,
-                                                  /*selective_launch=*/true);
-  const PredictionReport virtualized =
-      PredictOrDie(pipeline, TinyGpt(), MegatronConfig(), /*virtual_folds=*/true);
-  ExpectSameOutcome(selective, virtualized);
-  EXPECT_EQ(selective.full_workers_emulated, virtualized.full_workers_emulated);
 }
 
 TEST_F(HyperscaleTest, VirtualFoldsMatchFullEmulationFsdp) {

@@ -11,12 +11,14 @@
 #include <filesystem>
 #include <future>
 #include <map>
+#include <regex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "src/common/cancellation.h"
 #include "src/common/json_parser.h"
+#include "src/common/strings.h"
 #include "src/common/telemetry.h"
 #include "src/dlf/worker_launcher.h"
 #include "src/service/artifact_store.h"
@@ -131,7 +133,7 @@ TEST(ServiceProtocolTest, EveryPayloadVariantRoundTripsByteIdentical) {
   PredictPayload predict_payload;
   predict_payload.model = TinyGpt();
   predict_payload.config = BaseConfig();
-  predict_payload.selective_launch = true;
+  predict_payload.virtual_folds = true;
   predict_payload.deployment = "h100x32";
   predict.payload = predict_payload;
   ExpectRequestFixedPoint(predict);
@@ -272,7 +274,7 @@ TEST(ServiceProtocolTest, ParsedFieldsSurviveTheWire) {
   PredictPayload payload;
   payload.model = TinyGpt();
   payload.config = BaseConfig();
-  payload.selective_launch = true;
+  payload.virtual_folds = true;
   payload.deployment = "h100x32";
   request.payload = std::move(payload);
   Result<ServiceRequest> parsed = ParseServiceRequest(SerializeServiceRequest(request));
@@ -282,7 +284,7 @@ TEST(ServiceProtocolTest, ParsedFieldsSurviveTheWire) {
   EXPECT_EQ(round.model.name, "tiny-gpt");
   EXPECT_EQ(round.model.hidden_size, 1024);
   EXPECT_EQ(round.config.tensor_parallel, 2);
-  EXPECT_TRUE(round.selective_launch);
+  EXPECT_TRUE(round.virtual_folds);
   EXPECT_EQ(round.deployment, "h100x32");
 }
 
@@ -987,6 +989,106 @@ TEST_F(ServiceTest, TracePredictSkipsEmulation) {
   Result<SimReport> sim = simulator.Run();
   ASSERT_TRUE(sim.ok());
   EXPECT_EQ(response.iteration_time_us, sim->total_time_us);
+}
+
+// A pre-collated trace written before the stub keys were retired still
+// carries them on every worker; they are ignored on parse.
+TEST_F(ServiceTest, TracePredictIgnoresRetiredStubKeys) {
+  Result<LaunchResult> launched = EmulateJob(TinyGpt(), BaseConfig(), *cluster_);
+  ASSERT_TRUE(launched.ok());
+  Result<JobTrace> job = TraceCollator().Collate(std::move(launched->traces));
+  ASSERT_TRUE(job.ok());
+  ServiceRequest request;
+  request.id = 78;
+  TracePredictPayload payload;
+  payload.trace = *std::move(job);
+  request.payload = std::move(payload);
+  const std::string line = SerializeServiceRequest(request);
+  const std::string legacy_line = std::regex_replace(
+      line, std::regex(R"(\{"rank":(-?[0-9]+),)"),
+      R"({"rank":$1,"comm_init_only":false,"duplicate_of":-1,)");
+  ASSERT_NE(legacy_line, line);
+
+  Result<ServiceRequest> current = ParseServiceRequest(line);
+  Result<ServiceRequest> legacy = ParseServiceRequest(legacy_line);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  const JobTrace& a = std::get<TracePredictPayload>(current->payload).trace;
+  const JobTrace& b = std::get<TracePredictPayload>(legacy->payload).trace;
+  EXPECT_EQ(a.world_size, b.world_size);
+  EXPECT_TRUE(a.workers == b.workers);
+  EXPECT_TRUE(a.folded_ranks == b.folded_ranks);
+  EXPECT_EQ(SerializeJobTrace(a), SerializeJobTrace(b));
+  EXPECT_EQ(SerializeServiceRequest(*legacy), line);
+}
+
+// The answer fields of a predict-like or search response, doubles as hex
+// bits (as the wire carries them); timings and cache counters left out.
+std::string AnswerKey(const ServiceResponse& response) {
+  std::string key = StrFormat(
+      "%d|%s|%a|%a|%llu|%d|%s|%a|%a", response.oom, response.oom_detail.c_str(),
+      response.iteration_time_us, response.mfu,
+      static_cast<unsigned long long>(response.peak_memory_bytes), response.found,
+      response.best_config.CacheKey().c_str(), response.best_mfu, response.best_iteration_us);
+  for (const PredictResult& item : response.batch) {
+    key += StrFormat("|%d|%a|%a|%llu", item.oom, item.iteration_time_us, item.mfu,
+                     static_cast<unsigned long long>(item.peak_memory_bytes));
+  }
+  return key;
+}
+
+// `selective_launch` is a retired launch mode kept on the wire as an alias
+// of `virtual_folds`: every kind that takes the knob answers hex-identically
+// under either spelling, and no serializer writes the alias back.
+TEST_F(ServiceTest, SelectiveLaunchAliasAnswersLikeVirtualFolds) {
+  PredictPayload predict;
+  predict.model = TinyGpt();
+  predict.config = BaseConfig();
+  predict.virtual_folds = true;
+  BatchPredictPayload batch;
+  batch.model = TinyGpt();
+  batch.configs = SweepConfigs();
+  batch.virtual_folds = true;
+  WhatIfOomPayload whatif;
+  whatif.model = TinyGpt();
+  whatif.config = BaseConfig();
+  whatif.virtual_folds = true;
+  SearchPayload search;
+  search.model = TinyGpt();
+  search.search.algorithm = "random";
+  search.search.sample_budget = 8;
+  search.search.seed = 3;
+  search.search.virtual_folds = true;
+  search.global_batch = 32;
+
+  // Both engines see the same request sequence, so their caches agree too.
+  auto folds_engine = MakeEngine();
+  auto alias_engine = MakeEngine();
+  uint64_t id = 0;
+  for (ServicePayload payload : {ServicePayload{predict}, ServicePayload{batch},
+                                 ServicePayload{whatif}, ServicePayload{search}}) {
+    ServiceRequest request;
+    request.id = ++id;
+    request.payload = std::move(payload);
+    const std::string folds_line = SerializeServiceRequest(request);
+    EXPECT_EQ(folds_line.find("selective_launch"), std::string::npos);
+    std::string alias_line = folds_line;
+    const size_t at = alias_line.find(R"("virtual_folds":true)");
+    ASSERT_NE(at, std::string::npos) << folds_line;
+    alias_line.replace(at, std::strlen(R"("virtual_folds")"), R"("selective_launch")");
+
+    Result<ServiceRequest> folds = ParseServiceRequest(folds_line);
+    Result<ServiceRequest> alias = ParseServiceRequest(alias_line);
+    ASSERT_TRUE(folds.ok()) << folds.status().ToString();
+    ASSERT_TRUE(alias.ok()) << alias.status().ToString();
+    // The alias parses into virtual_folds and is never written back.
+    EXPECT_EQ(SerializeServiceRequest(*alias), folds_line);
+    const ServiceResponse a = folds_engine->Execute(*folds);
+    const ServiceResponse b = alias_engine->Execute(*alias);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_EQ(AnswerKey(a), AnswerKey(b)) << alias_line;
+  }
 }
 
 TEST_F(ServiceTest, ConcurrentMixedWorkloadMatchesSequential) {

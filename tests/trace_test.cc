@@ -193,28 +193,6 @@ TEST(CollatorTest, DedupOffKeepsAllWorkers) {
   EXPECT_EQ(collator.stats().duplicates_folded, 0);
 }
 
-TEST(CollatorTest, StubsAttachToDeclaredRepresentative) {
-  WorkerTrace full = MakeWorker(0, {Kernel(0)}, {{5, 2, 0}});
-  WorkerTrace stub = MakeWorker(1, {}, {{5, 2, 1}});
-  stub.comm_init_only = true;
-  stub.duplicate_of = 0;
-  TraceCollator collator;
-  Result<JobTrace> job = collator.Collate({full, stub});
-  ASSERT_TRUE(job.ok()) << job.status().ToString();
-  EXPECT_EQ(job->workers.size(), 1u);
-  EXPECT_EQ(job->folded_ranks[0], (RankSet{0, 1}));
-  // Membership evidence from the stub still resolved the communicator.
-  EXPECT_EQ(job->comm(5).members, (std::vector<int>{0, 1}));
-}
-
-TEST(CollatorTest, StubWithoutRepresentativeRejected) {
-  WorkerTrace full = MakeWorker(0, {Kernel(0)}, {{5, 2, 0}});
-  WorkerTrace stub = MakeWorker(1, {}, {{5, 2, 1}});
-  stub.comm_init_only = true;  // duplicate_of left at -1
-  TraceCollator collator;
-  EXPECT_FALSE(collator.Collate({full, stub}).ok());
-}
-
 TEST(CollatorTest, P2pEndpointsNeverFoldTogether) {
   // Both endpoints of a send/recv link can have identical structure (e.g.
   // middle pipeline stages whose interleaved schedules saturate) — folding
