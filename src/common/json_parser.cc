@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/common/strings.h"
 
@@ -21,15 +22,27 @@ bool JsonValue::AsBool() const {
 
 double JsonValue::AsDouble() const {
   CHECK(type_ == Type::kNumber);
+  switch (rep_) {
+    case NumberRep::kInt:
+      return static_cast<double>(int_);
+    case NumberRep::kUint:
+      return static_cast<double>(uint_);
+    case NumberRep::kDouble:
+      break;
+  }
   return number_;
 }
 
-int64_t JsonValue::AsInt() const { return static_cast<int64_t>(std::llround(AsDouble())); }
+int64_t JsonValue::AsInt() const {
+  const Result<int64_t> value = ToInt(*this);
+  CHECK(value.ok()) << value.status().ToString();
+  return *value;
+}
 
 uint64_t JsonValue::AsUint() const {
-  const double d = AsDouble();
-  CHECK_GE(d, 0.0);
-  return static_cast<uint64_t>(std::llround(d));
+  const Result<uint64_t> value = ToUint(*this);
+  CHECK(value.ok()) << value.status().ToString();
+  return *value;
 }
 
 const std::string& JsonValue::AsString() const {
@@ -279,24 +292,46 @@ class Parser {
     return Error("unterminated string");
   }
 
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+  // One pass per token: an integral token ("-?[0-9]+") that fits 64 bits is
+  // accumulated exactly; anything else (fraction, exponent, overflow, "-0",
+  // whose sign only a double keeps) goes to strtod once.
   Status ParseNumber(JsonValue& out) {
     const size_t start = pos_;
-    if (Consume('-')) {
+    const bool negative = Consume('-');
+    bool integral = pos_ < text_.size() && IsDigit(text_[pos_]);
+    uint64_t magnitude = 0;
+    for (; pos_ < text_.size() && IsDigit(text_[pos_]); ++pos_) {
+      const unsigned digit = static_cast<unsigned>(text_[pos_] - '0');
+      if (magnitude > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+        integral = false;
+      }
+      magnitude = magnitude * 10 + digit;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
+    for (; pos_ < text_.size() && (IsDigit(text_[pos_]) || text_[pos_] == '.' ||
+                                   text_[pos_] == 'e' || text_[pos_] == 'E' ||
+                                   text_[pos_] == '+' || text_[pos_] == '-');
+         ++pos_) {
+      integral = false;
     }
     if (pos_ == start) {
       return Error("expected value");
     }
-    const std::string token = text_.substr(start, pos_ - start);
+    if (integral && !negative) {
+      out = JsonValue(magnitude);
+      return Status::Ok();
+    }
+    if (integral && magnitude != 0 && magnitude <= uint64_t{1} << 63) {
+      out = JsonValue(static_cast<int64_t>(0 - magnitude));
+      return Status::Ok();
+    }
+    // strtod reads the NUL-terminated text in place; it must stop exactly
+    // at the token's end.
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Error("bad number '" + token + "'");
+    const double value = std::strtod(text_.c_str() + start, &end);
+    if (end != text_.c_str() + pos_) {
+      return Error("bad number '" + text_.substr(start, pos_ - start) + "'");
     }
     out = JsonValue(value);
     return Status::Ok();
@@ -340,14 +375,43 @@ Result<int64_t> ToInt(const JsonValue& value) {
   if (value.type() != JsonValue::Type::kNumber) {
     return Status::InvalidArgument("expected JSON number");
   }
-  return value.AsInt();
+  switch (value.rep_) {
+    case JsonValue::NumberRep::kInt:
+      return value.int_;
+    case JsonValue::NumberRep::kUint:
+      if (value.uint_ <= static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+        return static_cast<int64_t>(value.uint_);
+      }
+      break;
+    case JsonValue::NumberRep::kDouble:
+      // [-2^63, 2^63); NaN fails both comparisons.
+      if (value.number_ >= -0x1p63 && value.number_ < 0x1p63) {
+        return static_cast<int64_t>(std::llround(value.number_));
+      }
+      break;
+  }
+  return Status::InvalidArgument("JSON number outside the int64 range");
 }
 
 Result<uint64_t> ToUint(const JsonValue& value) {
-  if (value.type() != JsonValue::Type::kNumber || value.AsDouble() < 0.0) {
+  if (value.type() != JsonValue::Type::kNumber) {
     return Status::InvalidArgument("expected non-negative JSON number");
   }
-  return value.AsUint();
+  switch (value.rep_) {
+    case JsonValue::NumberRep::kInt:
+      if (value.int_ >= 0) {
+        return static_cast<uint64_t>(value.int_);
+      }
+      break;
+    case JsonValue::NumberRep::kUint:
+      return value.uint_;
+    case JsonValue::NumberRep::kDouble:
+      if (value.number_ >= 0.0 && value.number_ < 0x1p64) {
+        return static_cast<uint64_t>(std::round(value.number_));
+      }
+      break;
+  }
+  return Status::InvalidArgument("expected non-negative JSON number within the uint64 range");
 }
 
 Result<std::string> ToString(const JsonValue& value) {

@@ -47,19 +47,18 @@ Status DeploymentRegistry::Remove(const std::string& name) {
   return Status::Ok();
 }
 
-Result<std::shared_ptr<const Deployment>> DeploymentRegistry::Register(const std::string& name,
-                                                                       const ClusterSpec& cluster,
-                                                                       EstimatorBank bank) {
-  if (bank.kernel == nullptr || bank.collective == nullptr) {
+Result<std::shared_ptr<const Deployment>> DeploymentRegistry::Register(
+    const std::string& name, const ClusterSpec& cluster,
+    std::shared_ptr<const EstimatorBank> bank) {
+  if (bank == nullptr || bank->kernel == nullptr || bank->collective == nullptr) {
     return Status::FailedPrecondition("deployment '" + name + "': estimator bank is not trained");
   }
   auto deployment = std::make_shared<Deployment>();
   deployment->name = name;
   deployment->cluster = cluster;
-  auto owned = std::make_shared<const EstimatorBank>(std::move(bank));
-  deployment->bank = owned;
-  deployment->kernel_estimator = owned->kernel.get();
-  deployment->collective_estimator = owned->collective.get();
+  deployment->kernel_estimator = bank->kernel.get();
+  deployment->collective_estimator = bank->collective.get();
+  deployment->bank = std::move(bank);
   deployment->pipeline = BuildPipeline(cluster, *deployment);
   Entry entry;
   entry.deployment = std::move(deployment);

@@ -78,11 +78,12 @@ class DeploymentRegistry {
   DeploymentRegistry(const DeploymentRegistry&) = delete;
   DeploymentRegistry& operator=(const DeploymentRegistry&) = delete;
 
-  // Registers a pinned deployment owning its trained bank; builds the warm
-  // pipeline over it. Fails on duplicate names and untrained banks.
+  // Registers a pinned deployment sharing ownership of its trained bank;
+  // builds the warm pipeline over it. Fails on duplicate names and untrained
+  // banks.
   Result<std::shared_ptr<const Deployment>> Register(const std::string& name,
                                                      const ClusterSpec& cluster,
-                                                     EstimatorBank bank);
+                                                     std::shared_ptr<const EstimatorBank> bank);
 
   // Borrowed-estimator variant (estimators must outlive the registry) — for
   // callers that already own a trained bank.

@@ -103,12 +103,10 @@ MayaPipeline::MayaPipeline(const ClusterSpec& cluster,
       kernel_estimator_(kernel_estimator),
       collective_estimator_(collective_estimator),
       options_(options),
-      kernel_estimate_cache_(
-          ShardedCacheOptions{options.estimate_cache_shards, options.estimate_cache_entries}),
-      collective_estimate_cache_(
-          ShardedCacheOptions{options.estimate_cache_shards, options.estimate_cache_entries}),
-      trace_cache_(ShardedCacheOptions{8, options.trace_cache_entries}),
-      sim_cache_(ShardedCacheOptions{options.sim_cache_shards, options.sim_cache_entries}) {
+      kernel_estimate_cache_(ShardedCacheOptions{32, 1u << 20}),
+      collective_estimate_cache_(ShardedCacheOptions{32, 1u << 20}),
+      trace_cache_(ShardedCacheOptions{8, 128}),
+      sim_cache_(ShardedCacheOptions{16, 1u << 16}) {
   // Constructor contract, not a request-reachable path: pipelines are built
   // by the deployment registry, which refuses untrained banks with a Status.
   DCHECK(kernel_estimator_ != nullptr);

@@ -29,11 +29,10 @@ namespace maya {
 // unique key and reused within a trace, across Predict calls, and across the
 // thousands of trials of a config search. Estimators are pure functions of
 // their inputs, so caching is output-preserving (bit-identical on vs. off).
+// Cache bounds are fixed (pipeline.cc): 2^20 entries over 32 lock stripes per
+// estimate cache, 128 collated traces, 2^16 sim-cache components over 16.
 struct MayaPipelineOptions {
   bool enable_estimate_cache = true;
-  // Entry bound / lock-stripe count per estimate cache (kernel, collective).
-  size_t estimate_cache_entries = 1u << 20;
-  size_t estimate_cache_shards = 32;
   // The shared execution context: one pool borrowed by per-rank emulation
   // (stage 1), the collator's fingerprint pass (stage 2) and batched kernel
   // estimation (stage 3). Null keeps every stage sequential — the right
@@ -50,7 +49,6 @@ struct MayaPipelineOptions {
   // re-annotates a copy of the cached trace. Off by default: entries hold
   // full JobTraces, so this trades memory for wall-clock.
   bool enable_trace_cache = false;
-  size_t trace_cache_entries = 128;
   // Stage-4 knobs (all output-preserving — bit-identical to the sequential
   // whole-cluster replay). Partitioning splits the annotated trace into
   // independent comm components, replayed concurrently on the shared
@@ -59,8 +57,6 @@ struct MayaPipelineOptions {
   // fingerprint (ops + durations + comm topology modulo rank renumbering).
   bool partition_simulation = true;
   bool enable_sim_cache = true;
-  size_t sim_cache_entries = 1u << 16;
-  size_t sim_cache_shards = 16;
   // Adaptive small-N fallbacks (forwarded to LaunchOptions::min_parallel_ranks
   // and SimOptions::min_parallel_components): below these counts the pool
   // fan-out costs more than the work and the stages run sequentially.

@@ -21,6 +21,18 @@
 namespace maya {
 namespace {
 
+// Bundle layout:
+//   manifest.json              — version + a deployments array naming each
+//                                deployment, its dir, cluster, cache entry
+//                                counts and (when nonzero) usage totals
+//   deployment_<i>/
+//     kernel_estimator.json    — RandomForestKernelEstimator (per-kind forests)
+//     collective_estimator.json — ProfiledCollectiveEstimator tables
+//     kernel_validation.json   — held-out KernelDataset (MAPE evaluation)
+//     kernel_cache.json        — KernelDesc -> duration_us estimate entries
+//     collective_cache.json    — CollectiveRequest -> duration_us entries
+//     sim_cache.json           — component fingerprint -> per-worker replay
+//                                metrics (the stage-4 cross-trial cache)
 constexpr const char* kManifestFile = "manifest.json";
 constexpr const char* kKernelEstimatorFile = "kernel_estimator.json";
 constexpr const char* kCollectiveEstimatorFile = "collective_estimator.json";
@@ -153,12 +165,131 @@ Result<JsonValue> ReadJsonFile(const std::string& path) {
   return value;
 }
 
+using KernelEntry = std::pair<KernelDesc, double>;
+using CollectiveEntry = std::pair<CollectiveRequest, double>;
+using SimEntry = std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>;
+
+template <typename T>
+std::string Render(void (*write)(JsonWriter&, const T&), const T& value) {
+  JsonWriter w;
+  write(w, value);
+  return w.str();
+}
+
+template <typename Entry>
+std::string RenderArray(void (*write)(JsonWriter&, const Entry&),
+                        const std::vector<Entry>& entries) {
+  JsonWriter w;
+  w.BeginArray();
+  for (const Entry& entry : entries) {
+    write(w, entry);
+  }
+  w.EndArray();
+  return w.str();
+}
+
+// Parses a file's top-level array entry by entry. Bundle files are disk
+// state: torn or damaged bytes must surface as a status, never an abort, so
+// every entry codec uses the To* conversions.
+template <typename Entry>
+Result<std::vector<Entry>> ParseArray(Result<Entry> (*parse)(const JsonValue&),
+                                      const JsonValue& root) {
+  MAYA_ASSIGN_OR_RETURN(const JsonArray* items, ToArray(root));
+  std::vector<Entry> entries;
+  entries.reserve(items->size());
+  for (const JsonValue& item : *items) {
+    MAYA_ASSIGN_OR_RETURN(Entry entry, parse(item));
+    entries.push_back(std::move(entry));
+  }
+  return entries;
+}
+
+Result<double> HexField(const JsonValue& object, const char* field) {
+  MAYA_ASSIGN_OR_RETURN(const std::string hex, ToString(object.at(field)));
+  return DoubleFromBits(hex);
+}
+
+void WriteKernelEntry(JsonWriter& w, const KernelEntry& entry) {
+  w.BeginObject();
+  w.Key("kernel");
+  WriteKernelDescExact(w, entry.first);
+  w.Field("duration_us", std::string_view(DoubleBits(entry.second)));
+  w.EndObject();
+}
+
+Result<KernelEntry> ParseKernelEntry(const JsonValue& value) {
+  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"kernel", "duration_us"}));
+  MAYA_ASSIGN_OR_RETURN(KernelDesc kernel, ParseKernelDescExact(value.at("kernel")));
+  MAYA_ASSIGN_OR_RETURN(const double duration_us, HexField(value, "duration_us"));
+  return KernelEntry(std::move(kernel), duration_us);
+}
+
+void WriteCollectiveEntry(JsonWriter& w, const CollectiveEntry& entry) {
+  w.BeginObject();
+  w.Key("request");
+  WriteCollectiveRequest(w, entry.first);
+  w.Field("duration_us", std::string_view(DoubleBits(entry.second)));
+  w.EndObject();
+}
+
+Result<CollectiveEntry> ParseCollectiveEntry(const JsonValue& value) {
+  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"request", "duration_us"}));
+  MAYA_ASSIGN_OR_RETURN(CollectiveRequest request, ParseCollectiveRequest(value.at("request")));
+  MAYA_ASSIGN_OR_RETURN(const double duration_us, HexField(value, "duration_us"));
+  return CollectiveEntry(std::move(request), duration_us);
+}
+
+// Stage-4 component replays: the key is the canonical component fingerprint
+// (uint64, hex), the metrics are bit-exact doubles — a warm-started server
+// replays repeated components with the saving process's exact timelines.
+void WriteSimEntry(JsonWriter& w, const SimEntry& entry) {
+  w.BeginObject();
+  w.Field("key", std::string_view(Uint64Hex(entry.first)));
+  w.KeyedBeginArray("workers");
+  for (const WorkerSimMetrics& metrics : entry.second->workers) {
+    w.BeginObject();
+    w.Field("finish_us", std::string_view(DoubleBits(metrics.finish_us)));
+    w.Field("host_busy_us", std::string_view(DoubleBits(metrics.host_busy_us)));
+    w.Field("compute_busy_us", std::string_view(DoubleBits(metrics.compute_busy_us)));
+    w.Field("comm_busy_us", std::string_view(DoubleBits(metrics.comm_busy_us)));
+    w.Field("exposed_comm_us", std::string_view(DoubleBits(metrics.exposed_comm_us)));
+    w.Field("events", metrics.events);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+}
+
+Result<SimEntry> ParseSimEntry(const JsonValue& value) {
+  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"key", "workers"}));
+  MAYA_ASSIGN_OR_RETURN(const std::string key_hex, ToString(value.at("key")));
+  MAYA_ASSIGN_OR_RETURN(const uint64_t key, Uint64FromHex(key_hex));
+  MAYA_ASSIGN_OR_RETURN(const JsonArray* workers, ToArray(value.at("workers")));
+  auto result = std::make_shared<ComponentSimResult>();
+  for (const JsonValue& worker : *workers) {
+    MAYA_RETURN_IF_ERROR(RequireKeys(worker, {"finish_us", "host_busy_us", "compute_busy_us",
+                                              "comm_busy_us", "exposed_comm_us", "events"}));
+    WorkerSimMetrics metrics;
+    MAYA_ASSIGN_OR_RETURN(metrics.finish_us, HexField(worker, "finish_us"));
+    MAYA_ASSIGN_OR_RETURN(metrics.host_busy_us, HexField(worker, "host_busy_us"));
+    MAYA_ASSIGN_OR_RETURN(metrics.compute_busy_us, HexField(worker, "compute_busy_us"));
+    MAYA_ASSIGN_OR_RETURN(metrics.comm_busy_us, HexField(worker, "comm_busy_us"));
+    MAYA_ASSIGN_OR_RETURN(metrics.exposed_comm_us, HexField(worker, "exposed_comm_us"));
+    MAYA_ASSIGN_OR_RETURN(metrics.events, ToUint(worker.at("events")));
+    result->workers.push_back(metrics);
+  }
+  return SimEntry(key, std::move(result));
+}
+
 }  // namespace
 
 std::string ArtifactStore::ClusterSignature(const ClusterSpec& cluster) {
-  JsonWriter w;
-  WriteClusterSpec(w, cluster);
-  return w.str();
+  return Render(WriteClusterSpec, cluster);
+}
+
+std::string ArtifactStore::BankSignature(const EstimatorBank& bank) {
+  return Render(WriteKernelEstimator, *bank.kernel) +
+         Render(WriteCollectiveEstimator, *bank.collective);
 }
 
 std::string ArtifactStore::PathFor(const std::string& subdir, const char* file) const {
@@ -174,178 +305,15 @@ bool ArtifactStore::Exists() const {
   return std::filesystem::exists(PathFor("", kManifestFile), ec);
 }
 
-Status ArtifactStore::SaveDeploymentFiles(const std::string& subdir, const EstimatorBank& bank,
-                                          const MayaPipeline* pipeline,
-                                          uint64_t* kernel_entries,
-                                          uint64_t* collective_entries,
-                                          uint64_t* sim_entries) const {
-  if (bank.kernel == nullptr || bank.collective == nullptr) {
-    return Status::FailedPrecondition("estimator bank is not trained");
-  }
-  std::error_code ec;
-  std::filesystem::path dir(dir_);
-  if (!subdir.empty()) {
-    dir /= subdir;
-  }
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create bundle directory '" + dir.string() +
-                            "': " + ec.message());
-  }
-
-  {
-    JsonWriter w;
-    WriteKernelEstimator(w, *bank.kernel);
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelEstimatorFile), w.str()));
-  }
-  {
-    JsonWriter w;
-    WriteCollectiveEstimator(w, *bank.collective);
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kCollectiveEstimatorFile), w.str()));
-  }
-  {
-    JsonWriter w;
-    WriteKernelDataset(w, bank.kernel_validation);
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelValidationFile), w.str()));
-  }
-
-  *kernel_entries = 0;
-  *collective_entries = 0;
-  *sim_entries = 0;
-  if (pipeline == nullptr) {
-    // Estimator-only save: empty cache files keep the bundle loadable.
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelCacheFile), "[]"));
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kCollectiveCacheFile), "[]"));
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kSimCacheFile), "[]"));
-    return Status::Ok();
-  }
-  const std::vector<std::pair<KernelDesc, double>> kernels =
-      pipeline->SnapshotKernelEstimates();
-  *kernel_entries = kernels.size();
-  JsonWriter kernel_writer;
-  kernel_writer.BeginArray();
-  for (const auto& [kernel, duration_us] : kernels) {
-    kernel_writer.BeginObject();
-    kernel_writer.Key("kernel");
-    WriteKernelDescExact(kernel_writer, kernel);
-    kernel_writer.Field("duration_us", std::string_view(DoubleBits(duration_us)));
-    kernel_writer.EndObject();
-  }
-  kernel_writer.EndArray();
-  MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelCacheFile), kernel_writer.str()));
-
-  const std::vector<std::pair<CollectiveRequest, double>> collectives =
-      pipeline->SnapshotCollectiveEstimates();
-  *collective_entries = collectives.size();
-  JsonWriter collective_writer;
-  collective_writer.BeginArray();
-  for (const auto& [request, duration_us] : collectives) {
-    collective_writer.BeginObject();
-    collective_writer.Key("request");
-    WriteCollectiveRequest(collective_writer, request);
-    collective_writer.Field("duration_us", std::string_view(DoubleBits(duration_us)));
-    collective_writer.EndObject();
-  }
-  collective_writer.EndArray();
-  MAYA_RETURN_IF_ERROR(
-      WriteFile(PathFor(subdir, kCollectiveCacheFile), collective_writer.str()));
-
-  // Stage-4 component replays: key is the canonical component fingerprint
-  // (uint64, hex), metrics are bit-exact doubles — a warm-started server
-  // replays repeated components with the saving process's exact timelines.
-  const std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>>
-      components = pipeline->SnapshotSimCache();
-  *sim_entries = components.size();
-  JsonWriter sim_writer;
-  sim_writer.BeginArray();
-  for (const auto& [key, result] : components) {
-    sim_writer.BeginObject();
-    sim_writer.Field("key", std::string_view(Uint64Hex(key)));
-    sim_writer.KeyedBeginArray("workers");
-    for (const WorkerSimMetrics& metrics : result->workers) {
-      sim_writer.BeginObject();
-      sim_writer.Field("finish_us", std::string_view(DoubleBits(metrics.finish_us)));
-      sim_writer.Field("host_busy_us", std::string_view(DoubleBits(metrics.host_busy_us)));
-      sim_writer.Field("compute_busy_us",
-                       std::string_view(DoubleBits(metrics.compute_busy_us)));
-      sim_writer.Field("comm_busy_us", std::string_view(DoubleBits(metrics.comm_busy_us)));
-      sim_writer.Field("exposed_comm_us",
-                       std::string_view(DoubleBits(metrics.exposed_comm_us)));
-      sim_writer.Field("events", metrics.events);
-      sim_writer.EndObject();
-    }
-    sim_writer.EndArray();
-    sim_writer.EndObject();
-  }
-  sim_writer.EndArray();
-  return WriteFile(PathFor(subdir, kSimCacheFile), sim_writer.str());
-}
-
-Status ArtifactStore::SaveEstimators(const ClusterSpec& cluster, const EstimatorBank& bank) const {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create bundle directory '" + dir_ + "': " + ec.message());
-  }
-  // Invalidate any existing bundle before touching its files, and write the
-  // manifest strictly last (see Save).
-  std::filesystem::remove(PathFor("", kManifestFile), ec);
-  uint64_t kernel_entries = 0;
-  uint64_t collective_entries = 0;
-  uint64_t sim_entries = 0;
-  MAYA_RETURN_IF_ERROR(SaveDeploymentFiles("", bank, nullptr, &kernel_entries,
-                                           &collective_entries, &sim_entries));
-  JsonWriter manifest;
-  manifest.BeginObject();
-  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
-  manifest.Key("cluster");
-  WriteClusterSpec(manifest, cluster);
-  manifest.Field("kernel_cache_entries", kernel_entries);
-  manifest.Field("collective_cache_entries", collective_entries);
-  manifest.Field("sim_cache_entries", sim_entries);
-  manifest.EndObject();
-  return WriteFile(PathFor("", kManifestFile), manifest.str());
-}
-
-Status ArtifactStore::Save(const ClusterSpec& cluster, const EstimatorBank& bank,
-                           const MayaPipeline& pipeline) const {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create bundle directory '" + dir_ + "': " + ec.message());
-  }
-  // Invalidate any existing bundle before touching its files, and write the
-  // manifest strictly last: a crash at any point mid-save leaves a directory
-  // without a manifest, which never loads — not a loadable bundle mixing new
-  // and stale (or torn) files.
-  std::filesystem::remove(PathFor("", kManifestFile), ec);
-  uint64_t kernel_entries = 0;
-  uint64_t collective_entries = 0;
-  uint64_t sim_entries = 0;
-  MAYA_RETURN_IF_ERROR(SaveDeploymentFiles("", bank, &pipeline, &kernel_entries,
-                                           &collective_entries, &sim_entries));
-  JsonWriter manifest;
-  manifest.BeginObject();
-  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
-  manifest.Key("cluster");
-  WriteClusterSpec(manifest, cluster);
-  manifest.Field("kernel_cache_entries", kernel_entries);
-  manifest.Field("collective_cache_entries", collective_entries);
-  manifest.Field("sim_cache_entries", sim_entries);
-  manifest.EndObject();
-  return WriteFile(PathFor("", kManifestFile), manifest.str());
-}
-
-Status ArtifactStore::SaveRegistry(const DeploymentRegistry& registry,
-                                   const std::map<std::string, DeploymentUsage>& usage) const {
-  const std::vector<std::shared_ptr<const Deployment>> deployments = registry.Registered();
+Status ArtifactStore::Save(const std::vector<DeploymentRecord>& deployments) const {
   if (deployments.empty()) {
-    return Status::FailedPrecondition("registry holds no registered deployments to save");
+    return Status::FailedPrecondition("no deployments to save");
   }
-  for (const std::shared_ptr<const Deployment>& deployment : deployments) {
-    if (deployment->bank == nullptr) {
-      return Status::FailedPrecondition("deployment '" + deployment->name +
-                                        "' borrows its estimators and cannot be persisted");
+  for (const DeploymentRecord& deployment : deployments) {
+    if (deployment.bank == nullptr || deployment.bank->kernel == nullptr ||
+        deployment.bank->collective == nullptr) {
+      return Status::FailedPrecondition("deployment '" + deployment.name +
+                                        "': estimator bank is not trained");
     }
   }
   std::error_code ec;
@@ -353,351 +321,203 @@ Status ArtifactStore::SaveRegistry(const DeploymentRegistry& registry,
   if (ec) {
     return Status::Internal("cannot create bundle directory '" + dir_ + "': " + ec.message());
   }
+  // Invalidate any existing bundle before touching its files.
   std::filesystem::remove(PathFor("", kManifestFile), ec);
 
   JsonWriter manifest;
   manifest.BeginObject();
-  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersionMulti));
+  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
   manifest.KeyedBeginArray("deployments");
   for (size_t i = 0; i < deployments.size(); ++i) {
-    const Deployment& deployment = *deployments[i];
+    const DeploymentRecord& deployment = deployments[i];
     const std::string subdir = StrFormat("deployment_%zu", i);
-    uint64_t kernel_entries = 0;
-    uint64_t collective_entries = 0;
-    uint64_t sim_entries = 0;
-    MAYA_RETURN_IF_ERROR(SaveDeploymentFiles(subdir, *deployment.bank,
-                                             deployment.pipeline.get(), &kernel_entries,
-                                             &collective_entries, &sim_entries));
+    std::filesystem::create_directories(std::filesystem::path(dir_) / subdir, ec);
+    if (ec) {
+      return Status::Internal("cannot create bundle directory '" + dir_ + "/" + subdir +
+                              "': " + ec.message());
+    }
+    const EstimatorBank& bank = *deployment.bank;
+    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelEstimatorFile),
+                                   Render(WriteKernelEstimator, *bank.kernel)));
+    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kCollectiveEstimatorFile),
+                                   Render(WriteCollectiveEstimator, *bank.collective)));
+    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelValidationFile),
+                                   Render(WriteKernelDataset, bank.kernel_validation)));
+    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelCacheFile),
+                                   RenderArray(WriteKernelEntry, deployment.kernel_cache)));
+    MAYA_RETURN_IF_ERROR(
+        WriteFile(PathFor(subdir, kCollectiveCacheFile),
+                  RenderArray(WriteCollectiveEntry, deployment.collective_cache)));
+    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kSimCacheFile),
+                                   RenderArray(WriteSimEntry, deployment.sim_cache)));
+
     manifest.BeginObject();
     manifest.Field("name", std::string_view(deployment.name));
     manifest.Field("dir", std::string_view(subdir));
     manifest.Key("cluster");
     WriteClusterSpec(manifest, deployment.cluster);
-    manifest.Field("kernel_cache_entries", kernel_entries);
-    manifest.Field("collective_cache_entries", collective_entries);
-    manifest.Field("sim_cache_entries", sim_entries);
-    auto used = usage.find(deployment.name);
-    if (used != usage.end() && used->second.timed_requests > 0) {
+    manifest.Field("kernel_cache_entries", static_cast<uint64_t>(deployment.kernel_cache.size()));
+    manifest.Field("collective_cache_entries",
+                   static_cast<uint64_t>(deployment.collective_cache.size()));
+    manifest.Field("sim_cache_entries", static_cast<uint64_t>(deployment.sim_cache.size()));
+    const DeploymentUsage& usage = deployment.usage;
+    if (usage.timed_requests > 0) {
       // Bit-exact doubles: a restore round-trips the exact totals.
-      manifest.Field("timed_requests", used->second.timed_requests);
+      manifest.Field("timed_requests", usage.timed_requests);
       manifest.KeyedBeginObject("stage_totals");
-      manifest.Field("emulation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.emulation_ms)));
-      manifest.Field("collation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.collation_ms)));
+      manifest.Field("emulation_ms", std::string_view(DoubleBits(usage.stage_totals.emulation_ms)));
+      manifest.Field("collation_ms", std::string_view(DoubleBits(usage.stage_totals.collation_ms)));
       manifest.Field("estimation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.estimation_ms)));
+                     std::string_view(DoubleBits(usage.stage_totals.estimation_ms)));
       manifest.Field("simulation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.simulation_ms)));
+                     std::string_view(DoubleBits(usage.stage_totals.simulation_ms)));
       manifest.EndObject();
     }
     manifest.EndObject();
   }
   manifest.EndArray();
   manifest.EndObject();
+  // Strictly last: only a complete bundle ever carries a manifest.
   return WriteFile(PathFor("", kManifestFile), manifest.str());
 }
 
+Status ArtifactStore::Save(const ClusterSpec& cluster, const EstimatorBank& bank,
+                           const MayaPipeline& pipeline) const {
+  DeploymentRecord record;
+  record.name = kDefaultDeploymentName;
+  record.cluster = cluster;
+  // Non-owning: the save finishes before the caller's bank can go away.
+  record.bank = std::shared_ptr<const EstimatorBank>(std::shared_ptr<const EstimatorBank>(),
+                                                     &bank);
+  record.kernel_cache = pipeline.SnapshotKernelEstimates();
+  record.collective_cache = pipeline.SnapshotCollectiveEstimates();
+  record.sim_cache = pipeline.SnapshotSimCache();
+  return Save({std::move(record)});
+}
+
+Status ArtifactStore::SaveRegistry(const DeploymentRegistry& registry,
+                                   const std::map<std::string, DeploymentUsage>& usage) const {
+  std::vector<DeploymentRecord> records;
+  for (const std::shared_ptr<const Deployment>& deployment : registry.Registered()) {
+    if (deployment->bank == nullptr) {
+      return Status::FailedPrecondition("deployment '" + deployment->name +
+                                        "' borrows its estimators and cannot be persisted");
+    }
+    DeploymentRecord record;
+    record.name = deployment->name;
+    record.cluster = deployment->cluster;
+    record.bank = deployment->bank;
+    record.kernel_cache = deployment->pipeline->SnapshotKernelEstimates();
+    record.collective_cache = deployment->pipeline->SnapshotCollectiveEstimates();
+    record.sim_cache = deployment->pipeline->SnapshotSimCache();
+    if (auto used = usage.find(deployment->name); used != usage.end()) {
+      record.usage = used->second;
+    }
+    records.push_back(std::move(record));
+  }
+  return Save(records);
+}
+
 Result<ArtifactManifest> ArtifactStore::ReadManifest() const {
-  Result<JsonValue> root = ReadJsonFile(PathFor("", kManifestFile));
-  if (!root.ok()) {
-    return root.status();
-  }
-  if (!root->is_object() || !root->Has("version")) {
-    return Status::InvalidArgument("malformed artifact manifest");
-  }
+  MAYA_ASSIGN_OR_RETURN(const JsonValue root, ReadJsonFile(PathFor("", kManifestFile)));
+  MAYA_RETURN_IF_ERROR(RequireKeys(root, {"version"}));
   ArtifactManifest manifest;
-  // A manifest is disk state, not engine output: a torn or bit-flipped
-  // bundle must load as a clean status (caller falls back to cold start),
-  // never as an abort — hence To* conversions throughout.
-  MAYA_ASSIGN_OR_RETURN(const int64_t version, ToInt(root->at("version")));
-  manifest.version = static_cast<int>(version);
-  if (manifest.version == kArtifactBundleVersion) {
-    if (!root->Has("cluster")) {
-      return Status::InvalidArgument("malformed artifact manifest");
-    }
+  MAYA_ASSIGN_OR_RETURN(const int64_t version, ToInt(root.at("version")));
+  if (version != kArtifactBundleVersion) {
+    return Status::FailedPrecondition(
+        StrFormat("artifact bundle version %lld is not the supported version %d",
+                  static_cast<long long>(version), kArtifactBundleVersion));
+  }
+  manifest.version = kArtifactBundleVersion;
+  MAYA_RETURN_IF_ERROR(RequireKeys(root, {"deployments"}));
+  MAYA_ASSIGN_OR_RETURN(const JsonArray* entries, ToArray(root.at("deployments")));
+  for (const JsonValue& entry : *entries) {
+    MAYA_RETURN_IF_ERROR(RequireKeys(entry, {"name", "dir", "cluster"}));
     DeploymentManifest deployment;
-    deployment.name = kDefaultDeploymentName;
-    Result<ClusterSpec> cluster = ParseClusterSpec(root->at("cluster"));
-    if (!cluster.ok()) {
-      return cluster.status();
+    MAYA_ASSIGN_OR_RETURN(deployment.name, ToString(entry.at("name")));
+    MAYA_ASSIGN_OR_RETURN(deployment.dir, ToString(entry.at("dir")));
+    if (deployment.dir.empty() || deployment.dir.find_first_of("/\\") != std::string::npos ||
+        deployment.dir.find("..") != std::string::npos) {
+      return Status::InvalidArgument("manifest names unsafe deployment dir '" + deployment.dir +
+                                     "'");
     }
-    deployment.cluster = *std::move(cluster);
-    if (root->Has("kernel_cache_entries")) {
+    MAYA_ASSIGN_OR_RETURN(deployment.cluster, ParseClusterSpec(entry.at("cluster")));
+    if (entry.Has("kernel_cache_entries")) {
       MAYA_ASSIGN_OR_RETURN(deployment.kernel_cache_entries,
-                            ToUint(root->at("kernel_cache_entries")));
+                            ToUint(entry.at("kernel_cache_entries")));
     }
-    if (root->Has("collective_cache_entries")) {
+    if (entry.Has("collective_cache_entries")) {
       MAYA_ASSIGN_OR_RETURN(deployment.collective_cache_entries,
-                            ToUint(root->at("collective_cache_entries")));
+                            ToUint(entry.at("collective_cache_entries")));
     }
-    if (root->Has("sim_cache_entries")) {
-      MAYA_ASSIGN_OR_RETURN(deployment.sim_cache_entries,
-                            ToUint(root->at("sim_cache_entries")));
+    if (entry.Has("sim_cache_entries")) {
+      MAYA_ASSIGN_OR_RETURN(deployment.sim_cache_entries, ToUint(entry.at("sim_cache_entries")));
     }
-    manifest.cluster = deployment.cluster;
-    manifest.kernel_cache_entries = deployment.kernel_cache_entries;
-    manifest.collective_cache_entries = deployment.collective_cache_entries;
+    if (entry.Has("timed_requests") && entry.Has("stage_totals")) {
+      DeploymentUsage& usage = deployment.usage;
+      MAYA_ASSIGN_OR_RETURN(usage.timed_requests, ToUint(entry.at("timed_requests")));
+      const JsonValue& totals = entry.at("stage_totals");
+      MAYA_RETURN_IF_ERROR(RequireKeys(
+          totals, {"emulation_ms", "collation_ms", "estimation_ms", "simulation_ms"}));
+      MAYA_ASSIGN_OR_RETURN(usage.stage_totals.emulation_ms, HexField(totals, "emulation_ms"));
+      MAYA_ASSIGN_OR_RETURN(usage.stage_totals.collation_ms, HexField(totals, "collation_ms"));
+      MAYA_ASSIGN_OR_RETURN(usage.stage_totals.estimation_ms, HexField(totals, "estimation_ms"));
+      MAYA_ASSIGN_OR_RETURN(usage.stage_totals.simulation_ms, HexField(totals, "simulation_ms"));
+    }
     manifest.deployments.push_back(std::move(deployment));
-    return manifest;
   }
-  if (manifest.version == kArtifactBundleVersionMulti) {
-    if (!root->Has("deployments")) {
-      return Status::InvalidArgument("malformed v2 artifact manifest: no deployments");
-    }
-    MAYA_ASSIGN_OR_RETURN(const JsonArray* entries, ToArray(root->at("deployments")));
-    for (const JsonValue& entry : *entries) {
-      MAYA_RETURN_IF_ERROR(RequireKeys(entry, {"name", "dir", "cluster"}));
-      DeploymentManifest deployment;
-      MAYA_ASSIGN_OR_RETURN(deployment.name, ToString(entry.at("name")));
-      MAYA_ASSIGN_OR_RETURN(deployment.dir, ToString(entry.at("dir")));
-      if (deployment.dir.empty() ||
-          deployment.dir.find_first_of("/\\") != std::string::npos ||
-          deployment.dir.find("..") != std::string::npos) {
-        return Status::InvalidArgument("v2 manifest names unsafe deployment dir '" +
-                                       deployment.dir + "'");
-      }
-      Result<ClusterSpec> cluster = ParseClusterSpec(entry.at("cluster"));
-      if (!cluster.ok()) {
-        return cluster.status();
-      }
-      deployment.cluster = *std::move(cluster);
-      if (entry.Has("kernel_cache_entries")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.kernel_cache_entries,
-                              ToUint(entry.at("kernel_cache_entries")));
-      }
-      if (entry.Has("collective_cache_entries")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.collective_cache_entries,
-                              ToUint(entry.at("collective_cache_entries")));
-      }
-      if (entry.Has("sim_cache_entries")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.sim_cache_entries,
-                              ToUint(entry.at("sim_cache_entries")));
-      }
-      if (entry.Has("timed_requests") && entry.Has("stage_totals")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.timed_requests, ToUint(entry.at("timed_requests")));
-        const JsonValue& totals = entry.at("stage_totals");
-        MAYA_RETURN_IF_ERROR(RequireKeys(
-            totals, {"emulation_ms", "collation_ms", "estimation_ms", "simulation_ms"}));
-        auto bits = [&totals](const char* field) -> Result<double> {
-          MAYA_ASSIGN_OR_RETURN(const std::string hex, ToString(totals.at(field)));
-          return DoubleFromBits(hex);
-        };
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.emulation_ms, bits("emulation_ms"));
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.collation_ms, bits("collation_ms"));
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.estimation_ms, bits("estimation_ms"));
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.simulation_ms, bits("simulation_ms"));
-      }
-      manifest.deployments.push_back(std::move(deployment));
-    }
-    if (manifest.deployments.empty()) {
-      return Status::InvalidArgument("v2 artifact manifest holds no deployments");
-    }
-    manifest.cluster = manifest.deployments.front().cluster;
-    manifest.kernel_cache_entries = manifest.deployments.front().kernel_cache_entries;
-    manifest.collective_cache_entries =
-        manifest.deployments.front().collective_cache_entries;
-    return manifest;
+  if (manifest.deployments.empty()) {
+    return Status::InvalidArgument("artifact manifest holds no deployments");
   }
-  return Status::FailedPrecondition(
-      StrFormat("artifact bundle version %d is not a supported version (%d or %d)",
-                manifest.version, kArtifactBundleVersion, kArtifactBundleVersionMulti));
+  return manifest;
 }
 
-Result<EstimatorBank> ArtifactStore::LoadBankFrom(const std::string& subdir) const {
-  EstimatorBank bank;
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(subdir, kKernelEstimatorFile));
-    if (!value.ok()) {
-      return value.status();
+Result<std::vector<DeploymentRecord>> ArtifactStore::LoadDeployments() const {
+  MAYA_ASSIGN_OR_RETURN(const ArtifactManifest manifest, ReadManifest());
+  const auto load = [this](const DeploymentManifest& entry) -> Result<DeploymentRecord> {
+    DeploymentRecord record;
+    record.name = entry.name;
+    record.cluster = entry.cluster;
+    record.usage = entry.usage;
+    auto bank = std::make_shared<EstimatorBank>();
+    MAYA_ASSIGN_OR_RETURN(const JsonValue kernel,
+                          ReadJsonFile(PathFor(entry.dir, kKernelEstimatorFile)));
+    MAYA_ASSIGN_OR_RETURN(bank->kernel, ParseKernelEstimator(kernel));
+    MAYA_ASSIGN_OR_RETURN(const JsonValue collective,
+                          ReadJsonFile(PathFor(entry.dir, kCollectiveEstimatorFile)));
+    MAYA_ASSIGN_OR_RETURN(bank->collective, ParseCollectiveEstimator(collective));
+    MAYA_ASSIGN_OR_RETURN(const JsonValue validation,
+                          ReadJsonFile(PathFor(entry.dir, kKernelValidationFile)));
+    MAYA_ASSIGN_OR_RETURN(bank->kernel_validation, ParseKernelDataset(validation));
+    record.bank = std::move(bank);
+    MAYA_ASSIGN_OR_RETURN(const JsonValue kernel_cache,
+                          ReadJsonFile(PathFor(entry.dir, kKernelCacheFile)));
+    MAYA_ASSIGN_OR_RETURN(record.kernel_cache, ParseArray(ParseKernelEntry, kernel_cache));
+    MAYA_ASSIGN_OR_RETURN(const JsonValue collective_cache,
+                          ReadJsonFile(PathFor(entry.dir, kCollectiveCacheFile)));
+    MAYA_ASSIGN_OR_RETURN(record.collective_cache,
+                          ParseArray(ParseCollectiveEntry, collective_cache));
+    // A missing sim cache is tolerated: bundles written before the stage-4
+    // cache existed still warm-start (estimate caches only).
+    Result<JsonValue> sim_cache = ReadJsonFile(PathFor(entry.dir, kSimCacheFile));
+    if (sim_cache.ok()) {
+      MAYA_ASSIGN_OR_RETURN(record.sim_cache, ParseArray(ParseSimEntry, *sim_cache));
+    } else if (sim_cache.status().code() != StatusCode::kNotFound) {
+      return sim_cache.status();
     }
-    Result<std::unique_ptr<RandomForestKernelEstimator>> estimator =
-        ParseKernelEstimator(*value);
-    if (!estimator.ok()) {
-      return estimator.status();
+    return record;
+  };
+  std::vector<DeploymentRecord> records;
+  records.reserve(manifest.deployments.size());
+  for (const DeploymentManifest& entry : manifest.deployments) {
+    Result<DeploymentRecord> record = load(entry);
+    if (!record.ok()) {
+      return Status(record.status().code(),
+                    "deployment '" + entry.name + "': " + record.status().message());
     }
-    bank.kernel = *std::move(estimator);
+    records.push_back(*std::move(record));
   }
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(subdir, kCollectiveEstimatorFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    Result<std::unique_ptr<ProfiledCollectiveEstimator>> estimator =
-        ParseCollectiveEstimator(*value);
-    if (!estimator.ok()) {
-      return estimator.status();
-    }
-    bank.collective = *std::move(estimator);
-  }
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(subdir, kKernelValidationFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    Result<KernelDataset> validation = ParseKernelDataset(*value);
-    if (!validation.ok()) {
-      return validation.status();
-    }
-    bank.kernel_validation = *std::move(validation);
-  }
-  return bank;
-}
-
-Result<std::vector<LoadedDeployment>> ArtifactStore::LoadDeployments() const {
-  Result<ArtifactManifest> manifest = ReadManifest();
-  if (!manifest.ok()) {
-    return manifest.status();
-  }
-  std::vector<LoadedDeployment> deployments;
-  deployments.reserve(manifest->deployments.size());
-  for (const DeploymentManifest& entry : manifest->deployments) {
-    Result<EstimatorBank> bank = LoadBankFrom(entry.dir);
-    if (!bank.ok()) {
-      return Status(bank.status().code(),
-                    "deployment '" + entry.name + "': " + bank.status().message());
-    }
-    LoadedDeployment deployment;
-    deployment.name = entry.name;
-    deployment.cluster = entry.cluster;
-    deployment.bank = *std::move(bank);
-    deployment.stage_totals = entry.stage_totals;
-    deployment.timed_requests = entry.timed_requests;
-    deployments.push_back(std::move(deployment));
-  }
-  return deployments;
-}
-
-Result<EstimatorBank> ArtifactStore::LoadEstimators(const ClusterSpec& expected_cluster) const {
-  Result<ArtifactManifest> manifest = ReadManifest();
-  if (!manifest.ok()) {
-    return manifest.status();
-  }
-  const std::string expected = ClusterSignature(expected_cluster);
-  for (const DeploymentManifest& entry : manifest->deployments) {
-    if (ClusterSignature(entry.cluster) == expected) {
-      return LoadBankFrom(entry.dir);
-    }
-  }
-  return Status::FailedPrecondition(
-      "artifact bundle was trained for cluster " + manifest->cluster.ToString() + ", not " +
-      expected_cluster.ToString());
-}
-
-Result<uint64_t> ArtifactStore::WarmPipeline(const std::string& name,
-                                             MayaPipeline& pipeline) const {
-  Result<ArtifactManifest> manifest = ReadManifest();
-  if (!manifest.ok()) {
-    return manifest.status();
-  }
-  const DeploymentManifest* target = nullptr;
-  for (const DeploymentManifest& entry : manifest->deployments) {
-    if (entry.name == name) {
-      target = &entry;
-      break;
-    }
-  }
-  if (target == nullptr) {
-    return Status::NotFound("bundle holds no deployment named '" + name + "'");
-  }
-  uint64_t imported = 0;
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(target->dir, kKernelCacheFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    // Cache files are disk state like the manifest: torn or damaged bytes
-    // must surface as a status, so To* conversions replace the CHECK-failing
-    // As* accessors throughout the warm path.
-    MAYA_ASSIGN_OR_RETURN(const JsonArray* kernel_items, ToArray(*value));
-    std::vector<std::pair<KernelDesc, double>> entries;
-    for (const JsonValue& entry : *kernel_items) {
-      if (!entry.Has("kernel") || !entry.Has("duration_us")) {
-        return Status::InvalidArgument("malformed kernel cache entry");
-      }
-      Result<KernelDesc> kernel = ParseKernelDescExact(entry.at("kernel"));
-      if (!kernel.ok()) {
-        return kernel.status();
-      }
-      MAYA_ASSIGN_OR_RETURN(const std::string duration_hex, ToString(entry.at("duration_us")));
-      Result<double> duration = DoubleFromBits(duration_hex);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      entries.emplace_back(*kernel, *duration);
-    }
-    pipeline.ImportKernelEstimates(entries);
-    imported += entries.size();
-  }
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(target->dir, kCollectiveCacheFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    MAYA_ASSIGN_OR_RETURN(const JsonArray* collective_items, ToArray(*value));
-    std::vector<std::pair<CollectiveRequest, double>> entries;
-    for (const JsonValue& entry : *collective_items) {
-      if (!entry.Has("request") || !entry.Has("duration_us")) {
-        return Status::InvalidArgument("malformed collective cache entry");
-      }
-      Result<CollectiveRequest> request = ParseCollectiveRequest(entry.at("request"));
-      if (!request.ok()) {
-        return request.status();
-      }
-      MAYA_ASSIGN_OR_RETURN(const std::string duration_hex, ToString(entry.at("duration_us")));
-      Result<double> duration = DoubleFromBits(duration_hex);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      entries.emplace_back(*std::move(request), *duration);
-    }
-    pipeline.ImportCollectiveEstimates(entries);
-    imported += entries.size();
-  }
-  {
-    // Tolerate a missing file: bundles written before the sim cache existed
-    // still warm-start (estimate caches only).
-    Result<JsonValue> value = ReadJsonFile(PathFor(target->dir, kSimCacheFile));
-    if (value.ok()) {
-      MAYA_ASSIGN_OR_RETURN(const JsonArray* sim_items, ToArray(*value));
-      std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>> entries;
-      for (const JsonValue& entry : *sim_items) {
-        if (!entry.Has("key") || !entry.Has("workers")) {
-          return Status::InvalidArgument("malformed sim cache entry");
-        }
-        MAYA_ASSIGN_OR_RETURN(const std::string key_hex, ToString(entry.at("key")));
-        Result<uint64_t> key = Uint64FromHex(key_hex);
-        if (!key.ok()) {
-          return key.status();
-        }
-        auto result = std::make_shared<ComponentSimResult>();
-        MAYA_ASSIGN_OR_RETURN(const JsonArray* workers, ToArray(entry.at("workers")));
-        for (const JsonValue& worker : *workers) {
-          MAYA_RETURN_IF_ERROR(RequireKeys(
-              worker, {"finish_us", "host_busy_us", "compute_busy_us", "comm_busy_us",
-                       "exposed_comm_us", "events"}));
-          WorkerSimMetrics metrics;
-          auto bits = [&worker](const char* field) -> Result<double> {
-            MAYA_ASSIGN_OR_RETURN(const std::string hex, ToString(worker.at(field)));
-            return DoubleFromBits(hex);
-          };
-          MAYA_ASSIGN_OR_RETURN(metrics.finish_us, bits("finish_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.host_busy_us, bits("host_busy_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.compute_busy_us, bits("compute_busy_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.comm_busy_us, bits("comm_busy_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.exposed_comm_us, bits("exposed_comm_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.events, ToUint(worker.at("events")));
-          result->workers.push_back(metrics);
-        }
-        entries.emplace_back(*key, std::move(result));
-      }
-      pipeline.ImportSimCache(entries);
-      imported += entries.size();
-    } else if (value.status().code() != StatusCode::kNotFound) {
-      return value.status();
-    }
-  }
-  return imported;
+  return records;
 }
 
 }  // namespace maya

@@ -1,35 +1,27 @@
 // Persistent estimator artifacts: a versioned on-disk bundle holding
 // everything a Maya server needs to warm-start — trained per-kind kernel
 // forests, the profiled collective estimator, the held-out validation split,
-// and the kernel/collective estimate caches. A restarted server (or a fresh
-// sweep process) loads the bundle instead of re-running profiling sweeps and
-// re-training forests, and answers a repeated sweep with the previous
-// process's cache hit rate and bit-identical predictions.
+// and the kernel/collective estimate and sim caches — for every deployment of
+// a fleet. A restarted server (or a fresh sweep process) loads the bundle
+// instead of re-running profiling sweeps and re-training forests, and answers
+// a repeated sweep with the previous process's cache hit rate and
+// bit-identical predictions.
 //
-// v1 bundle (single deployment, directory of JSON files):
-//   manifest.json            — format version, full ClusterSpec, entry counts
-//   kernel_estimator.json    — RandomForestKernelEstimator (per-kind forests)
-//   collective_estimator.json— ProfiledCollectiveEstimator tables
-//   kernel_validation.json   — held-out KernelDataset (MAPE evaluation)
-//   kernel_cache.json        — KernelDesc -> duration_us estimate entries
-//   collective_cache.json    — CollectiveRequest -> duration_us entries
-//   sim_cache.json           — component fingerprint -> per-worker replay
-//                              metrics (the stage-4 cross-trial cache);
-//                              absent in bundles predating it (tolerated)
-//
-// v2 bundle (fleet of deployments, one per-arch estimator bank each):
-//   manifest.json            — version 2 + a deployments array naming each
-//                              deployment, its cluster and its subdirectory
-//   deployment_<i>/          — the same per-deployment file set as v1
-//
-// v1 bundles still load — as a single deployment named "default". All
+// One format (version 2): a manifest naming every deployment, its cluster,
+// cache entry counts and usage totals, plus one subdirectory per deployment
+// holding its estimators, validation split and caches. This module is the
+// only code that knows the layout (artifact_store.cc spells it out): one
+// writer and one reader, both over DeploymentRecord. All
 // prediction-relevant doubles use the bit-exact hex encoding from
-// src/estimator/serialization.h, so loading is lossless.
+// src/estimator/serialization.h, and integers parse exactly, so a load and
+// a save reproduce every file byte for byte.
 #ifndef SRC_SERVICE_ARTIFACT_STORE_H_
 #define SRC_SERVICE_ARTIFACT_STORE_H_
 
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -41,49 +33,47 @@
 namespace maya {
 
 // Bumped on any incompatible change to the bundle layout or encodings.
-inline constexpr int kArtifactBundleVersion = 1;
-// The multi-deployment bundle format.
-inline constexpr int kArtifactBundleVersionMulti = 2;
+inline constexpr int kArtifactBundleVersion = 2;
 
+// Cumulative per-stage wall time a serving engine accumulated for one
+// deployment (ServiceStats::stage_totals), persisted so observability
+// counters survive restarts like cache contents do.
+struct DeploymentUsage {
+  StageTimings stage_totals;
+  uint64_t timed_requests = 0;
+};
+
+// One deployment as a bundle holds it: everything needed to re-register it
+// and warm its pipeline bit-identically.
+struct DeploymentRecord {
+  std::string name;
+  ClusterSpec cluster;
+  std::shared_ptr<const EstimatorBank> bank;
+  std::vector<std::pair<KernelDesc, double>> kernel_cache;
+  std::vector<std::pair<CollectiveRequest, double>> collective_cache;
+  std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>> sim_cache;
+  DeploymentUsage usage;
+
+  uint64_t cache_entries() const {
+    return kernel_cache.size() + collective_cache.size() + sim_cache.size();
+  }
+};
+
+// A deployment's manifest entry: what `maya_bundle info` shows without
+// loading the estimators.
 struct DeploymentManifest {
   std::string name;
-  std::string dir;  // bundle-relative subdirectory ("" for v1 bundles)
+  std::string dir;  // bundle-relative subdirectory
   ClusterSpec cluster;
   uint64_t kernel_cache_entries = 0;
   uint64_t collective_cache_entries = 0;
-  uint64_t sim_cache_entries = 0;  // 0 for bundles predating the sim cache
-  // Cumulative per-stage wall time the saving engine had accumulated for
-  // this deployment (ServiceStats::stage_totals), so observability counters
-  // survive restarts like cache contents do. Zero for bundles predating it.
-  StageTimings stage_totals;
-  uint64_t timed_requests = 0;
+  uint64_t sim_cache_entries = 0;
+  DeploymentUsage usage;
 };
 
 struct ArtifactManifest {
   int version = 0;
-  // The first (v1: only) deployment's cluster — kept for single-deployment
-  // callers; `deployments` is the full fleet either way.
-  ClusterSpec cluster;
-  uint64_t kernel_cache_entries = 0;
-  uint64_t collective_cache_entries = 0;
   std::vector<DeploymentManifest> deployments;
-};
-
-// One deployment rebuilt from a bundle.
-struct LoadedDeployment {
-  std::string name;
-  ClusterSpec cluster;
-  EstimatorBank bank;
-  // Restored usage counters (see DeploymentManifest).
-  StageTimings stage_totals;
-  uint64_t timed_requests = 0;
-};
-
-// Per-deployment usage counters a saving engine passes to SaveRegistry,
-// keyed by deployment name.
-struct DeploymentUsage {
-  StageTimings stage_totals;
-  uint64_t timed_requests = 0;
 };
 
 class ArtifactStore {
@@ -94,59 +84,39 @@ class ArtifactStore {
   // True when the bundle directory holds a manifest.
   bool Exists() const;
 
-  // Writes a v1 single-deployment bundle (estimators + the pipeline's
-  // current estimate caches) atomically enough for a single writer: any
-  // existing manifest is removed first and the new one lands last, so a
-  // crash at any point leaves a manifest-less directory that never loads —
-  // not a torn bundle.
+  // The writer. Every file is published by fsync'd tmp+rename (fault sites
+  // artifact.corrupt / write_short / fsync / rename_torn); any existing
+  // manifest is removed first and the new one lands last, so a failure at
+  // any point leaves a manifest-less directory that never loads — not a torn
+  // bundle. Fails on an empty list or an untrained bank.
+  Status Save(const std::vector<DeploymentRecord>& deployments) const;
+
+  // One deployment named "default": `bank` plus the pipeline's current
+  // caches.
   Status Save(const ClusterSpec& cluster, const EstimatorBank& bank,
               const MayaPipeline& pipeline) const;
 
-  // Estimators only (no caches to snapshot yet) — e.g. right after training.
-  Status SaveEstimators(const ClusterSpec& cluster, const EstimatorBank& bank) const;
-
-  // Writes a v2 bundle holding every registered deployment that owns its
-  // bank (estimators + that deployment's pipeline caches). Same manifest-
-  // last crash discipline as Save. Borrowed-estimator deployments cannot be
-  // persisted and make the save fail. `usage` optionally carries cumulative
-  // per-deployment stage totals (by name) to persist alongside the caches.
+  // Every registered deployment with its pipeline's caches and, by name, the
+  // usage in `usage`. Borrowed-estimator deployments cannot be persisted and
+  // make the save fail.
   Status SaveRegistry(const DeploymentRegistry& registry,
                       const std::map<std::string, DeploymentUsage>& usage = {}) const;
 
-  // Accepts v1 and v2 manifests.
+  // The manifest alone; a version other than kArtifactBundleVersion is
+  // FAILED_PRECONDITION.
   Result<ArtifactManifest> ReadManifest() const;
 
-  // Rebuilds every deployment in the bundle (v1: one, named "default").
-  Result<std::vector<LoadedDeployment>> LoadDeployments() const;
+  // The reader: every deployment with its bank and cache entries, fully
+  // parsed and validated, in manifest order.
+  Result<std::vector<DeploymentRecord>> LoadDeployments() const;
 
-  // v1-style single-bank load. Fails on version mismatch or when no bundled
-  // deployment's cluster matches `expected_cluster` (trained estimators are
-  // cluster-specific; a bundle from another cluster would silently answer
-  // with the wrong hardware model).
-  Result<EstimatorBank> LoadEstimators(const ClusterSpec& expected_cluster) const;
-
-  // Seeds the pipeline's estimate caches from deployment `name`'s cache
-  // files; returns the number of entries imported. Call with a pipeline
-  // built over estimators loaded from the SAME bundle — cache values are
-  // only valid for the estimators that produced them.
-  Result<uint64_t> WarmPipeline(const std::string& name, MayaPipeline& pipeline) const;
-  // v1 convenience: warms from the default deployment.
-  Result<uint64_t> WarmPipeline(MayaPipeline& pipeline) const {
-    return WarmPipeline(kDefaultDeploymentName, pipeline);
-  }
-
-  // Structural cluster identity via the canonical JSON encoding: the
-  // evaluation clusters are constructed from constants, so equal specs
-  // serialize equally.
+  // Structural identities via the canonical JSON encodings: equal clusters
+  // serialize equally, and so do equally trained banks (their kernel and
+  // collective estimators).
   static std::string ClusterSignature(const ClusterSpec& cluster);
+  static std::string BankSignature(const EstimatorBank& bank);
 
  private:
-  // Writes one deployment's file set into dir_/subdir ("" = bundle root);
-  // null pipeline writes empty cache files.
-  Status SaveDeploymentFiles(const std::string& subdir, const EstimatorBank& bank,
-                             const MayaPipeline* pipeline, uint64_t* kernel_entries,
-                             uint64_t* collective_entries, uint64_t* sim_entries) const;
-  Result<EstimatorBank> LoadBankFrom(const std::string& subdir) const;
   std::string PathFor(const std::string& subdir, const char* file) const;
 
   std::string dir_;

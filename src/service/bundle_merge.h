@@ -1,28 +1,26 @@
-// Offline merge of artifact bundles (see artifact_store.h) into one v2
-// bundle, so caches warmed by separate maya_serve processes — a fleet of
-// what-if servers, CI shards, a laptop and a batch job — pool their work.
+// Offline merge of artifact bundles (see artifact_store.h) into one bundle,
+// so caches warmed by separate maya_serve processes — a fleet of what-if
+// servers, CI shards, a laptop and a batch job — pool their work.
 //
-// Merge semantics:
-//   - Deployments are matched by name across inputs (a v1 bundle is one
-//     deployment named "default"); first-seen order is preserved and
-//     distinct names are all carried into the output.
-//   - Same-name deployments must carry byte-identical estimator files
-//     (kernel_estimator.json / collective_estimator.json): cached durations
-//     are only valid for the estimators that produced them, so differently
-//     trained banks under one name refuse to merge rather than mix.
-//   - Cache files union at the JSON level with keep-first conflict
-//     resolution. Keys are the canonical serializations the store itself
-//     uses (WriteKernelDescExact / WriteCollectiveRequest / the sim-cache
-//     fingerprint hex), and duration/metric hex-double strings pass through
-//     verbatim — merging never reformats a number, so a bundle merged with
-//     itself is byte-identical to the input and warm-start predictions stay
-//     bit-exact.
-//   - Per-deployment usage metadata (stage_totals, timed_requests) keeps the
-//     first input's values.
+// Merge semantics, over the store's typed DeploymentRecords:
+//   - Deployments are matched by name across inputs; first-seen order is
+//     preserved and distinct names are all carried into the output.
+//   - Same-name deployments must carry equally trained banks, compared by
+//     their canonical serialization (ArtifactStore::BankSignature): cached
+//     durations are only valid for the estimators that produced them, so
+//     differently trained banks under one name refuse to merge rather than
+//     mix.
+//   - Caches union with keep-first conflict resolution, keyed as the
+//     pipeline keys them (KernelDesc, CollectiveRequest, component
+//     fingerprint). Bank, validation split and usage totals come from the
+//     first input that carries the name.
 //
-// The output directory is written like the store writes bundles: manifest
-// removed first, data files next, manifest strictly last — a crash mid-merge
-// leaves a directory that never loads, not a half-merged bundle.
+// The output is written by the store's own writer (ArtifactStore::Save):
+// fsync'd tmp+rename per file, manifest removed first and written last — a
+// failure mid-merge leaves a directory that never loads, not a half-merged
+// bundle. Since a load and a save reproduce every file byte for byte, a
+// bundle merged with itself (or with a re-save of itself) comes out
+// byte-identical to the input.
 #ifndef SRC_SERVICE_BUNDLE_MERGE_H_
 #define SRC_SERVICE_BUNDLE_MERGE_H_
 
@@ -49,10 +47,10 @@ struct BundleMergeReport {
   std::vector<DeploymentReport> deployments;
 };
 
-// Merges `inputs` (paths of existing bundle directories, v1 or v2, earlier =
-// higher precedence) into a v2 bundle at `out_dir`. `out_dir` must not be an
-// input. Fails without writing a manifest on unreadable inputs or
-// same-name/different-estimator conflicts.
+// Merges `inputs` (paths of existing bundle directories, earlier = higher
+// precedence) into a bundle at `out_dir`. `out_dir` must not be an input.
+// Fails without writing a manifest on unreadable inputs, same-name/
+// different-estimator conflicts, or a failed write.
 Result<BundleMergeReport> MergeBundles(const std::vector<std::string>& inputs,
                                        const std::string& out_dir);
 

@@ -792,42 +792,21 @@ Result<ServiceRequest> ParseServiceRequest(const std::string& line) {
   MAYA_RETURN_IF_ERROR(RequireKeys(root, {"id", "kind"}));
   // Typed accessors CHECK-fail on mismatches; the envelope fields come
   // straight off the wire, so validate their types before touching them.
-  if (root.at("id").type() != JsonValue::Type::kNumber || root.at("id").AsDouble() < 0.0) {
-    return Status::InvalidArgument("request id must be a non-negative number");
+  const Result<uint64_t> id = ToUint(root.at("id"));
+  if (!id.ok()) {
+    return Status::InvalidArgument("request id must be a non-negative 64-bit number");
   }
   if (root.at("kind").type() != JsonValue::Type::kString) {
     return Status::InvalidArgument("request kind must be a string");
   }
   ServiceRequest request;
-  request.id = root.at("id").AsUint();
+  request.id = *id;
   const std::string kind_name = root.at("kind").AsString();
   if (root.Has("deadline_ms")) {
     if (root.at("deadline_ms").type() != JsonValue::Type::kNumber) {
       return Status::InvalidArgument("deadline_ms must be a number");
     }
     request.deadline_ms = root.at("deadline_ms").AsDouble();
-  }
-
-  // v1 compatibility: `whatif_cluster` was "predict on another cluster" with
-  // the target in a `cluster` field — exactly what deployment targeting
-  // expresses now, so it parses into a deployment-targeted PredictPayload.
-  if (kind_name == "whatif_cluster") {
-    MAYA_RETURN_IF_ERROR(RequireKeys(root, {"model", "config", "cluster"}));
-    PredictPayload payload;
-    Result<ModelConfig> model = ParseModelConfig(root.at("model"));
-    if (!model.ok()) {
-      return model.status();
-    }
-    payload.model = *std::move(model);
-    Result<TrainConfig> config = ParseTrainConfig(root.at("config"));
-    if (!config.ok()) {
-      return config.status();
-    }
-    payload.config = *config;
-    MAYA_RETURN_IF_ERROR(ParsePredictLikeCommon(root, payload));
-    MAYA_ASSIGN_OR_RETURN(payload.deployment, ToString(root.at("cluster")));
-    request.payload = std::move(payload);
-    return request;
   }
 
   Result<ServiceRequestKind> kind = ServiceRequestKindFromName(kind_name);
@@ -1123,7 +1102,7 @@ Result<ServiceResponse> ParseServiceResponse(const std::string& line) {
   }
   MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"id", "kind", "ok"}));
   ServiceResponse response;
-  response.id = root->at("id").AsUint();
+  MAYA_ASSIGN_OR_RETURN(response.id, ToUint(root->at("id")));
   Result<ServiceRequestKind> kind = ServiceRequestKindFromName(root->at("kind").AsString());
   if (!kind.ok()) {
     return kind.status();
@@ -1353,9 +1332,8 @@ ServiceResponse ParseFailureResponse(const std::string& line, const Status& stat
   // Echo the id/kind when the line is at least well-formed JSON, so a
   // pipelining client can match the failure to its request.
   if (Result<JsonValue> root = ParseJson(line); root.ok() && root->is_object()) {
-    if (root->Has("id") && root->at("id").type() == JsonValue::Type::kNumber &&
-        root->at("id").AsDouble() >= 0.0) {
-      error.id = root->at("id").AsUint();
+    if (root->Has("id")) {
+      error.id = ToUint(root->at("id")).value_or(0);
     }
     if (root->Has("kind") && root->at("kind").type() == JsonValue::Type::kString) {
       if (Result<ServiceRequestKind> kind =

@@ -41,9 +41,9 @@
 //                         without taking a queue slot — health stays
 //                         answerable when the queue is full or paused.
 //
-// v1 compatibility: the retired `whatif_cluster` kind still parses — it maps
-// to a PredictPayload whose `deployment` is the old `cluster` field — but is
-// never emitted; v2 responses answer it under kind "predict".
+// Retired forms are refused like any malformed request: the v1 kind for
+// "predict on another cluster" is an unknown kind (INVALID_REQUEST) — a
+// predict with a `deployment` says the same thing.
 #ifndef SRC_SERVICE_PROTOCOL_H_
 #define SRC_SERVICE_PROTOCOL_H_
 

@@ -18,9 +18,17 @@
 namespace maya {
 namespace {
 
+// The first bundle record trained for `cluster`.
+std::vector<DeploymentRecord>::const_iterator FindByCluster(
+    const std::vector<DeploymentRecord>& records, const ClusterSpec& cluster) {
+  const std::string expected = ArtifactStore::ClusterSignature(cluster);
+  return std::find_if(records.begin(), records.end(), [&expected](const DeploymentRecord& record) {
+    return ArtifactStore::ClusterSignature(record.cluster) == expected;
+  });
+}
+
 DeploymentRegistryOptions RegistryOptionsFor(const ServiceEngineOptions& options) {
   DeploymentRegistryOptions registry;
-  registry.max_derived = options.max_derived_deployments;
   registry.pipeline = options.pipeline;
   return registry;
 }
@@ -64,8 +72,10 @@ Result<std::unique_ptr<ServiceEngine>> ServiceEngine::Create(const ClusterSpec& 
                                                              EstimatorBank bank,
                                                              ServiceEngineOptions options) {
   std::unique_ptr<ServiceEngine> engine(new ServiceEngine(std::move(options)));
-  MAYA_ASSIGN_OR_RETURN(engine->default_deployment_, engine->registry_.Register(
-                            kDefaultDeploymentName, cluster, std::move(bank)));
+  MAYA_ASSIGN_OR_RETURN(
+      engine->default_deployment_,
+      engine->registry_.Register(kDefaultDeploymentName, cluster,
+                                 std::make_shared<const EstimatorBank>(std::move(bank))));
   engine->Start();
   return engine;
 }
@@ -96,37 +106,22 @@ void ServiceEngine::Start() {
 
 Result<std::shared_ptr<const Deployment>> ServiceEngine::AddDeployment(
     const std::string& name, const ClusterSpec& cluster, EstimatorBank bank) {
-  return registry_.Register(name, cluster, std::move(bank));
+  return registry_.Register(name, cluster, std::make_shared<const EstimatorBank>(std::move(bank)));
 }
 
 Result<std::unique_ptr<ServiceEngine>> ServiceEngine::FromArtifacts(
     const ClusterSpec& cluster, const ArtifactStore& store, ServiceEngineOptions options) {
-  Result<std::vector<LoadedDeployment>> loaded = store.LoadDeployments();
-  if (!loaded.ok()) {
-    return loaded.status();
-  }
+  MAYA_ASSIGN_OR_RETURN(const std::vector<DeploymentRecord> records, store.LoadDeployments());
   // The requested cluster selects the default deployment.
-  const std::string expected = ArtifactStore::ClusterSignature(cluster);
-  auto default_it = loaded->end();
-  for (auto it = loaded->begin(); it != loaded->end(); ++it) {
-    if (ArtifactStore::ClusterSignature(it->cluster) == expected) {
-      default_it = it;
-      break;
-    }
-  }
-  if (default_it == loaded->end()) {
+  const auto default_it = FindByCluster(records, cluster);
+  if (default_it == records.end()) {
     return Status::FailedPrecondition("artifact bundle holds no deployment for cluster " +
                                       cluster.ToString());
   }
-  MAYA_ASSIGN_OR_RETURN(std::unique_ptr<ServiceEngine> engine,
-                        Create(cluster, std::move(default_it->bank), options));
-  Result<uint64_t> imported = store.WarmPipeline(default_it->name, engine->pipeline());
-  if (!imported.ok()) {
-    return imported.status();
-  }
-  engine->SeedStageTotals(*engine->default_deployment_, default_it->stage_totals,
-                          default_it->timed_requests);
-  for (auto it = loaded->begin(); it != loaded->end(); ++it) {
+  std::unique_ptr<ServiceEngine> engine(new ServiceEngine(std::move(options)));
+  MAYA_ASSIGN_OR_RETURN(engine->default_deployment_,
+                        engine->Restore(kDefaultDeploymentName, cluster, *default_it));
+  for (auto it = records.begin(); it != records.end(); ++it) {
     if (it == default_it) {
       continue;
     }
@@ -140,19 +135,33 @@ Result<std::unique_ptr<ServiceEngine>> ServiceEngine::FromArtifacts(
       name = it->name + "@bundle" + (suffix > 2 ? std::to_string(suffix) : "");
       ++suffix;
     }
-    Result<std::shared_ptr<const Deployment>> added =
-        engine->AddDeployment(name, it->cluster, std::move(it->bank));
-    if (!added.ok()) {
-      return added.status();
-    }
-    // Cache files are keyed by the SAVED name in the manifest.
-    Result<uint64_t> warmed = store.WarmPipeline(it->name, *(*added)->pipeline);
-    if (!warmed.ok()) {
-      return warmed.status();
-    }
-    engine->SeedStageTotals(**added, it->stage_totals, it->timed_requests);
+    MAYA_RETURN_IF_ERROR(engine->Restore(name, it->cluster, *it).status());
   }
+  engine->Start();
   return engine;
+}
+
+Result<std::shared_ptr<const Deployment>> ServiceEngine::Restore(const std::string& name,
+                                                                 const ClusterSpec& cluster,
+                                                                 const DeploymentRecord& record) {
+  MAYA_ASSIGN_OR_RETURN(std::shared_ptr<const Deployment> deployment,
+                        registry_.Register(name, cluster, record.bank));
+  deployment->pipeline->ImportKernelEstimates(record.kernel_cache);
+  deployment->pipeline->ImportCollectiveEstimates(record.collective_cache);
+  deployment->pipeline->ImportSimCache(record.sim_cache);
+  const DeploymentUsage& usage = record.usage;
+  if (usage.timed_requests > 0) {
+    std::lock_guard<std::mutex> lock(timings_mutex_);
+    stage_totals_.emulation_ms += usage.stage_totals.emulation_ms;
+    stage_totals_.collation_ms += usage.stage_totals.collation_ms;
+    stage_totals_.estimation_ms += usage.stage_totals.estimation_ms;
+    stage_totals_.simulation_ms += usage.stage_totals.simulation_ms;
+    timed_requests_ += usage.timed_requests;
+    DeploymentTimings& per_deployment = deployment_timings_[deployment.get()];
+    per_deployment.totals = usage.stage_totals;
+    per_deployment.requests = usage.timed_requests;
+  }
+  return deployment;
 }
 
 ServiceEngine::~ServiceEngine() { Shutdown(); }
@@ -736,22 +745,6 @@ void ServiceEngine::AccumulateStageTimings(const Deployment& deployment,
   ++per_deployment.requests;
 }
 
-void ServiceEngine::SeedStageTotals(const Deployment& deployment, const StageTimings& totals,
-                                    uint64_t requests) {
-  if (requests == 0) {
-    return;  // nothing persisted (v1 bundle, or a never-exercised deployment)
-  }
-  std::lock_guard<std::mutex> lock(timings_mutex_);
-  stage_totals_.emulation_ms += totals.emulation_ms;
-  stage_totals_.collation_ms += totals.collation_ms;
-  stage_totals_.estimation_ms += totals.estimation_ms;
-  stage_totals_.simulation_ms += totals.simulation_ms;
-  timed_requests_ += requests;
-  DeploymentTimings& per_deployment = deployment_timings_[&deployment];
-  per_deployment.totals = totals;
-  per_deployment.requests = requests;
-}
-
 ServiceResponse ServiceEngine::ExecuteSearch(const ServiceRequest& request,
                                              const SearchPayload& payload,
                                              const CancelToken* cancel) const {
@@ -900,40 +893,27 @@ ServiceResponse ServiceEngine::ExecuteAddDeployment(const ServiceRequest& reques
   response.deployment = payload.name;
   if (!payload.bundle_dir.empty()) {
     // Bundle-backed add: restore the matching deployment's estimators and
-    // warm caches instead of re-training.
-    const ArtifactStore store(payload.bundle_dir);
-    Result<std::vector<LoadedDeployment>> loaded = store.LoadDeployments();
-    if (!loaded.ok()) {
-      return ErrorResponse(request, ErrorCodeFor(loaded.status()),
-                           loaded.status().ToString());
+    // warm caches instead of re-training. The whole bundle is parsed and
+    // validated before anything is registered, so a damaged bundle leaves
+    // the registry (and the journal) untouched.
+    const Result<std::vector<DeploymentRecord>> records =
+        ArtifactStore(payload.bundle_dir).LoadDeployments();
+    if (!records.ok()) {
+      return ErrorResponse(request, ErrorCodeFor(records.status()),
+                           records.status().ToString());
     }
-    const std::string expected = ArtifactStore::ClusterSignature(*cluster);
-    auto match = loaded->end();
-    for (auto it = loaded->begin(); it != loaded->end(); ++it) {
-      if (ArtifactStore::ClusterSignature(it->cluster) == expected) {
-        match = it;
-        break;
-      }
-    }
-    if (match == loaded->end()) {
+    const auto match = FindByCluster(*records, *cluster);
+    if (match == records->end()) {
       return ErrorResponse(
           request, kErrInvalidRequest,
           "bundle '" + payload.bundle_dir + "' holds no deployment for cluster '" +
               payload.cluster + "'");
     }
-    Result<std::shared_ptr<const Deployment>> added =
-        AddDeployment(payload.name, *cluster, std::move(match->bank));
+    Result<std::shared_ptr<const Deployment>> added = Restore(payload.name, *cluster, *match);
     if (!added.ok()) {
       return ErrorResponse(request, ErrorCodeFor(added.status()), added.status().ToString());
     }
-    // Cache files are keyed by the SAVED name in the bundle manifest.
-    Result<uint64_t> warmed = store.WarmPipeline(match->name, *(*added)->pipeline);
-    if (!warmed.ok()) {
-      return ErrorResponse(request, ErrorCodeFor(warmed.status()),
-                           warmed.status().ToString());
-    }
-    response.warmed_entries = *warmed;
-    SeedStageTotals(**added, match->stage_totals, match->timed_requests);
+    response.warmed_entries = match->cache_entries();
   } else {
     // Cold-start add: the same deterministic training path maya_serve uses,
     // so two engines that add the same deployment answer bit-identically.

@@ -52,6 +52,7 @@
 namespace maya {
 
 class ArtifactStore;
+struct DeploymentRecord;
 class FleetJournal;
 
 // Admission-control weights: how much of the queue bound one queued request
@@ -77,8 +78,6 @@ struct ServiceEngineOptions {
   // Pipeline knobs — including the shared ExecutionContext whose single pool
   // both the emulation and estimation stages (of every deployment) borrow.
   MayaPipelineOptions pipeline;
-  // Bound on derived what-if deployments resident at once (LRU-evicted).
-  size_t max_derived_deployments = 8;
   // Construct with the queue paused (workers idle until Resume()) — lets
   // tests and staged startups fill the queue deterministically.
   bool start_paused = false;
@@ -106,10 +105,9 @@ class ServiceEngine {
   static Result<std::unique_ptr<ServiceEngine>> Create(
       const ClusterSpec& cluster, const KernelRuntimeEstimator* kernel_estimator,
       const CollectiveEstimator* collective_estimator, ServiceEngineOptions options = {});
-  // Warm start from an artifact bundle: v2 bundles restore the whole fleet
-  // (every saved deployment, estimators + estimate caches); v1 bundles
-  // restore a single default deployment. `cluster` selects the default
-  // deployment and must match one of the bundle's clusters.
+  // Warm start from an artifact bundle: restores the whole fleet (every saved
+  // deployment, estimators + caches + usage totals). `cluster` selects the
+  // default deployment and must match one of the bundle's clusters.
   static Result<std::unique_ptr<ServiceEngine>> FromArtifacts(
       const ClusterSpec& cluster, const ArtifactStore& store,
       ServiceEngineOptions options = {});
@@ -343,11 +341,13 @@ class ServiceEngine {
   // no longer resident.
   void AccumulateStageTimings(const Deployment& deployment,
                               const StageTimings& timings) const;
-  // Seeds one deployment's cumulative totals from a v2 artifact bundle
-  // (FromArtifacts only, before the engine serves traffic), so stage totals
-  // survive a save/restore cycle the way cache contents do.
-  void SeedStageTotals(const Deployment& deployment, const StageTimings& totals,
-                       uint64_t requests);
+  // Registers a bundle record (already fully parsed) as pinned deployment
+  // `name` on `cluster`, seeds its pipeline's caches from the record, and
+  // its cumulative totals from the record's usage, so stage totals survive
+  // a save/restore cycle the way cache contents do.
+  Result<std::shared_ptr<const Deployment>> Restore(const std::string& name,
+                                                    const ClusterSpec& cluster,
+                                                    const DeploymentRecord& record);
   mutable std::mutex timings_mutex_;
   mutable StageTimings stage_totals_;
   mutable uint64_t timed_requests_ = 0;

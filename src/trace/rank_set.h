@@ -62,8 +62,8 @@ class RankSet {
   bool contains(int64_t rank) const;
   const std::vector<RankSpan>& spans() const { return spans_; }
 
-  // Expands to the explicit ascending member list (test/debug/legacy-wire
-  // helper — O(size), avoid on hyperscale sets in hot paths).
+  // Expands to the explicit ascending member list (test/debug helper —
+  // O(size), avoid on hyperscale sets in hot paths).
   std::vector<int> Materialize() const;
 
   std::string ToString() const;

@@ -398,10 +398,9 @@ Result<WorkerTrace> ParseWorkerTrace(const std::string& json) {
 }
 
 Result<JobTrace> ParseJobTrace(const JsonValue& value) {
-  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"world_size", "comms", "workers"}));
-  if (!value.Has("folded_spans") && !value.Has("folded_ranks")) {
-    return Status::InvalidArgument("job trace lacks folded_spans (or legacy folded_ranks)");
-  }
+  // The dense pre-span "folded_ranks" form is no longer read: a trace
+  // without "folded_spans" fails here like any other missing key.
+  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"world_size", "comms", "folded_spans", "workers"}));
   JobTrace job;
   int64_t field = 0;
   MAYA_ASSIGN_OR_RETURN(field, ToInt(value.at("world_size")));
@@ -438,37 +437,12 @@ Result<JobTrace> ParseJobTrace(const JsonValue& value) {
       return Status::InvalidArgument("duplicate comm uid in job trace");
     }
   }
-  if (value.Has("folded_spans")) {
-    const JsonArray* folded = nullptr;
-    MAYA_ASSIGN_OR_RETURN(folded, ToArray(value.at("folded_spans")));
-    for (const JsonValue& spans_value : *folded) {
-      RankSet ranks;
-      MAYA_ASSIGN_OR_RETURN(ranks, ParseRankSpans(spans_value));
-      job.folded_ranks.push_back(std::move(ranks));
-    }
-  } else {
-    // Legacy explicit form: one integer per folded rank. Accepted (and
-    // normalized into span sets) so pre-hyperscale bundles keep loading.
-    const JsonArray* folded = nullptr;
-    MAYA_ASSIGN_OR_RETURN(folded, ToArray(value.at("folded_ranks")));
-    for (const JsonValue& ranks_value : *folded) {
-      const JsonArray* rank_array = nullptr;
-      MAYA_ASSIGN_OR_RETURN(rank_array, ToArray(ranks_value));
-      std::vector<int> ranks;
-      for (const JsonValue& rank : *rank_array) {
-        MAYA_ASSIGN_OR_RETURN(field, ToInt(rank));
-        ranks.push_back(static_cast<int>(field));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      if (std::adjacent_find(ranks.begin(), ranks.end()) != ranks.end()) {
-        return Status::InvalidArgument("duplicate rank within a folded_ranks entry");
-      }
-      RankSet set;
-      for (int rank : ranks) {
-        set.Add(rank);
-      }
-      job.folded_ranks.push_back(std::move(set));
-    }
+  const JsonArray* folded = nullptr;
+  MAYA_ASSIGN_OR_RETURN(folded, ToArray(value.at("folded_spans")));
+  for (const JsonValue& spans_value : *folded) {
+    RankSet ranks;
+    MAYA_ASSIGN_OR_RETURN(ranks, ParseRankSpans(spans_value));
+    job.folded_ranks.push_back(std::move(ranks));
   }
   const JsonArray* workers = nullptr;
   MAYA_ASSIGN_OR_RETURN(workers, ToArray(value.at("workers")));

@@ -27,6 +27,13 @@ std::string TempBundleDir(const char* name) {
   return dir;
 }
 
+// Seeds every cache of `pipeline` from a loaded bundle record.
+void ImportCaches(const DeploymentRecord& record, MayaPipeline& pipeline) {
+  pipeline.ImportKernelEstimates(record.kernel_cache);
+  pipeline.ImportCollectiveEstimates(record.collective_cache);
+  pipeline.ImportSimCache(record.sim_cache);
+}
+
 TEST(DoubleBitsTest, RoundTripsExactBitPatterns) {
   const double values[] = {0.0,
                            -0.0,
@@ -238,14 +245,20 @@ TEST_F(ArtifactStoreTest, BundleSaveLoadWarmsCaches) {
   Result<ArtifactManifest> manifest = store.ReadManifest();
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   EXPECT_EQ(manifest->version, kArtifactBundleVersion);
-  EXPECT_EQ(manifest->kernel_cache_entries, resident);
+  ASSERT_EQ(manifest->deployments.size(), 1u);
+  EXPECT_EQ(manifest->deployments[0].name, kDefaultDeploymentName);
+  EXPECT_EQ(manifest->deployments[0].kernel_cache_entries, resident);
 
-  Result<EstimatorBank> loaded = store.LoadEstimators(*cluster_);
+  Result<std::vector<DeploymentRecord>> loaded = store.LoadDeployments();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  MayaPipeline warm(*cluster_, loaded->kernel.get(), loaded->collective.get());
-  Result<uint64_t> imported = store.WarmPipeline(warm);
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
-  EXPECT_GE(*imported, resident);
+  ASSERT_EQ(loaded->size(), 1u);
+  const DeploymentRecord& record = loaded->front();
+  EXPECT_EQ(record.name, kDefaultDeploymentName);
+  EXPECT_EQ(ArtifactStore::ClusterSignature(record.cluster),
+            ArtifactStore::ClusterSignature(*cluster_));
+  EXPECT_GE(record.cache_entries(), resident);
+  MayaPipeline warm(*cluster_, record.bank->kernel.get(), record.bank->collective.get());
+  ImportCaches(record, warm);
   EXPECT_EQ(warm.KernelCacheStats().entries, resident);
 
   // Every cached estimate answers identically to the original pipeline's.
@@ -292,11 +305,11 @@ TEST_F(ArtifactStoreTest, SimCachePersistsAndReplaysBitIdentical) {
   ASSERT_TRUE(manifest.ok());
   EXPECT_EQ(manifest->deployments.front().sim_cache_entries, resident);
 
-  Result<EstimatorBank> loaded = store.LoadEstimators(*cluster_);
-  ASSERT_TRUE(loaded.ok());
-  MayaPipeline warm(*cluster_, loaded->kernel.get(), loaded->collective.get());
-  Result<uint64_t> imported = store.WarmPipeline(warm);
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  Result<std::vector<DeploymentRecord>> loaded = store.LoadDeployments();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const DeploymentRecord& record = loaded->front();
+  MayaPipeline warm(*cluster_, record.bank->kernel.get(), record.bank->collective.get());
+  ImportCaches(record, warm);
   EXPECT_EQ(warm.SimCacheStats().entries, resident);
 
   const Result<PredictionReport> replayed = warm.Predict(request);
@@ -310,65 +323,52 @@ TEST_F(ArtifactStoreTest, SimCachePersistsAndReplaysBitIdentical) {
 TEST_F(ArtifactStoreTest, LoadRejectsClusterMismatch) {
   const std::string dir = TempBundleDir("bundle_cluster_mismatch");
   ArtifactStore store(dir);
-  ASSERT_TRUE(store.SaveEstimators(*cluster_, *bank_).ok());
-  const Result<EstimatorBank> wrong = store.LoadEstimators(H100Cluster(16));
+  MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
+  ASSERT_TRUE(store.Save(*cluster_, *bank_, pipeline).ok());
+  const Result<std::unique_ptr<ServiceEngine>> wrong =
+      ServiceEngine::FromArtifacts(H100Cluster(16), store, ServiceEngineOptions{});
   EXPECT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// One format: a manifest of any other version (the retired version 1
+// included) is refused before any file is read.
 TEST_F(ArtifactStoreTest, LoadRejectsVersionMismatch) {
   const std::string dir = TempBundleDir("bundle_version_mismatch");
   ArtifactStore store(dir);
-  ASSERT_TRUE(store.SaveEstimators(*cluster_, *bank_).ok());
-  // Corrupt the version in place.
-  const std::string manifest_path =
-      (std::filesystem::path(dir) / "manifest.json").string();
-  std::ifstream in(manifest_path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string contents = buffer.str();
-  const std::string needle = "\"version\":1";
-  const size_t pos = contents.find(needle);
+  MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
+  ASSERT_TRUE(store.Save(*cluster_, *bank_, pipeline).ok());
+  const std::string manifest_path = (std::filesystem::path(dir) / "manifest.json").string();
+  std::string pristine;
+  {
+    std::ifstream in(manifest_path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    pristine = buffer.str();
+  }
+  const std::string needle = "\"version\":2";
+  const size_t pos = pristine.find(needle);
   ASSERT_NE(pos, std::string::npos);
-  contents.replace(pos, needle.size(), "\"version\":999");
-  std::ofstream out(manifest_path, std::ios::trunc);
-  out << contents;
-  out.close();
-  const Result<EstimatorBank> wrong = store.LoadEstimators(*cluster_);
-  EXPECT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kFailedPrecondition);
+  for (const char* version : {"1", "999"}) {
+    std::string contents = pristine;
+    contents.replace(pos, needle.size(), std::string("\"version\":") + version);
+    std::ofstream out(manifest_path, std::ios::trunc);
+    out << contents;
+    out.close();
+    const Result<std::vector<DeploymentRecord>> wrong = store.LoadDeployments();
+    EXPECT_FALSE(wrong.ok()) << version;
+    EXPECT_EQ(wrong.status().code(), StatusCode::kFailedPrecondition) << version;
+  }
 }
 
 TEST_F(ArtifactStoreTest, MissingBundleReportsNotFound) {
   ArtifactStore store(TempBundleDir("bundle_absent"));
   EXPECT_FALSE(store.Exists());
   EXPECT_FALSE(store.ReadManifest().ok());
-  EXPECT_FALSE(store.LoadEstimators(*cluster_).ok());
+  EXPECT_FALSE(store.LoadDeployments().ok());
 }
 
-// ---- v2 multi-deployment bundles -------------------------------------------
-
-TEST_F(ArtifactStoreTest, V1BundleLoadsAsSingleDefaultDeployment) {
-  const std::string dir = TempBundleDir("bundle_v1_compat");
-  ArtifactStore store(dir);
-  ASSERT_TRUE(store.SaveEstimators(*cluster_, *bank_).ok());
-
-  Result<ArtifactManifest> manifest = store.ReadManifest();
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->version, kArtifactBundleVersion);
-  ASSERT_EQ(manifest->deployments.size(), 1u);
-  EXPECT_EQ(manifest->deployments[0].name, kDefaultDeploymentName);
-
-  Result<std::vector<LoadedDeployment>> loaded = store.LoadDeployments();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ((*loaded)[0].name, kDefaultDeploymentName);
-  EXPECT_EQ(ArtifactStore::ClusterSignature((*loaded)[0].cluster),
-            ArtifactStore::ClusterSignature(*cluster_));
-  for (const KernelDesc& kernel : ProbeKernels()) {
-    EXPECT_EQ(bank_->kernel->PredictUs(kernel), (*loaded)[0].bank.kernel->PredictUs(kernel));
-  }
-}
+// ---- Multi-deployment bundles -----------------------------------------------
 
 TEST_F(ArtifactStoreTest, V2RegistryRoundTripsBothBanksBitExact) {
   const std::string dir = TempBundleDir("bundle_v2_fleet");
@@ -385,11 +385,14 @@ TEST_F(ArtifactStoreTest, V2RegistryRoundTripsBothBanksBitExact) {
   GroundTruthExecutor v100_hardware(v100, 43);
 
   DeploymentRegistry registry;
-  Result<std::shared_ptr<const Deployment>> h100_deployment = registry.Register(
-      "h100x8", *cluster_, TrainEstimators(*cluster_, h100_hardware, small_sweep));
+  Result<std::shared_ptr<const Deployment>> h100_deployment =
+      registry.Register("h100x8", *cluster_,
+                        std::make_shared<const EstimatorBank>(
+                            TrainEstimators(*cluster_, h100_hardware, small_sweep)));
   ASSERT_TRUE(h100_deployment.ok());
-  Result<std::shared_ptr<const Deployment>> v100_deployment =
-      registry.Register("v100x8", v100, TrainEstimators(v100, v100_hardware, small_sweep));
+  Result<std::shared_ptr<const Deployment>> v100_deployment = registry.Register(
+      "v100x8", v100,
+      std::make_shared<const EstimatorBank>(TrainEstimators(v100, v100_hardware, small_sweep)));
   ASSERT_TRUE(v100_deployment.ok());
   // Warm both pipelines' estimate caches with a probe trace each.
   for (const std::shared_ptr<const Deployment>& deployment :
@@ -413,18 +416,18 @@ TEST_F(ArtifactStoreTest, V2RegistryRoundTripsBothBanksBitExact) {
 
   Result<ArtifactManifest> manifest = store.ReadManifest();
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_EQ(manifest->version, kArtifactBundleVersionMulti);
+  EXPECT_EQ(manifest->version, kArtifactBundleVersion);
   ASSERT_EQ(manifest->deployments.size(), 2u);
   EXPECT_EQ(manifest->deployments[0].name, "h100x8");
   EXPECT_EQ(manifest->deployments[1].name, "v100x8");
   EXPECT_GT(manifest->deployments[0].kernel_cache_entries, 0u);
 
-  Result<std::vector<LoadedDeployment>> loaded = store.LoadDeployments();
+  Result<std::vector<DeploymentRecord>> loaded = store.LoadDeployments();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), 2u);
   const std::shared_ptr<const Deployment> sources[] = {*h100_deployment, *v100_deployment};
   for (size_t i = 0; i < loaded->size(); ++i) {
-    const LoadedDeployment& restored = (*loaded)[i];
+    const DeploymentRecord& restored = (*loaded)[i];
     const Deployment& source = *sources[i];
     EXPECT_EQ(restored.name, source.name);
     EXPECT_EQ(ArtifactStore::ClusterSignature(restored.cluster),
@@ -432,14 +435,13 @@ TEST_F(ArtifactStoreTest, V2RegistryRoundTripsBothBanksBitExact) {
     // Hex-double identity: every probe prediction is bit-exact per bank.
     for (const KernelDesc& kernel : ProbeKernels()) {
       EXPECT_EQ(source.kernel_estimator->PredictUs(kernel),
-                restored.bank.kernel->PredictUs(kernel))
+                restored.bank->kernel->PredictUs(kernel))
           << restored.name << " " << kernel.ToString();
     }
     // Per-deployment caches warm a fresh pipeline with every saved entry.
-    MayaPipeline warm(restored.cluster, restored.bank.kernel.get(),
-                      restored.bank.collective.get());
-    Result<uint64_t> imported = store.WarmPipeline(restored.name, warm);
-    ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+    MayaPipeline warm(restored.cluster, restored.bank->kernel.get(),
+                      restored.bank->collective.get());
+    ImportCaches(restored, warm);
     EXPECT_EQ(warm.KernelCacheStats().entries, source.pipeline->KernelCacheStats().entries);
     for (const auto& [kernel, duration_us] : source.pipeline->SnapshotKernelEstimates()) {
       bool found = false;
@@ -455,19 +457,18 @@ TEST_F(ArtifactStoreTest, V2RegistryRoundTripsBothBanksBitExact) {
   }
   // The two banks answer differently (different arch + hardware): loading
   // must not have cross-wired the deployments.
-  EXPECT_NE((*loaded)[0].bank.kernel->PredictUs(ProbeKernels()[0]),
-            (*loaded)[1].bank.kernel->PredictUs(ProbeKernels()[0]));
+  EXPECT_NE((*loaded)[0].bank->kernel->PredictUs(ProbeKernels()[0]),
+            (*loaded)[1].bank->kernel->PredictUs(ProbeKernels()[0]));
 
-  // A v1-style load against the v2 bundle picks the matching cluster...
-  Result<EstimatorBank> by_cluster = store.LoadEstimators(v100);
-  ASSERT_TRUE(by_cluster.ok()) << by_cluster.status().ToString();
-  EXPECT_EQ(by_cluster->kernel->PredictUs(ProbeKernels()[0]),
-            (*loaded)[1].bank.kernel->PredictUs(ProbeKernels()[0]));
-  // ...and refuses clusters the fleet was not trained for.
-  EXPECT_FALSE(store.LoadEstimators(A40Node()).ok());
-  // Warm-pipeline lookups by unknown deployment name fail cleanly.
-  MayaPipeline fresh(*cluster_, bank_->kernel.get(), bank_->collective.get());
-  EXPECT_EQ(store.WarmPipeline("nope", fresh).status().code(), StatusCode::kNotFound);
+  // A warm start selects its default deployment by cluster and refuses
+  // clusters the fleet was not trained for.
+  Result<std::unique_ptr<ServiceEngine>> on_v100 =
+      ServiceEngine::FromArtifacts(v100, store, ServiceEngineOptions{});
+  ASSERT_TRUE(on_v100.ok()) << on_v100.status().ToString();
+  EXPECT_EQ((*on_v100)->registry().Registered().size(), 2u);
+  (*on_v100)->Shutdown();
+  EXPECT_EQ(ServiceEngine::FromArtifacts(A40Node(), store, ServiceEngineOptions{}).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ---- Corruption and crash-mid-save robustness -------------------------------
@@ -521,7 +522,12 @@ TEST_F(ArtifactStoreTest, CorruptionMatrixRejectsEveryFileKindCleanly) {
                               "kernel_cache.json",     "collective_cache.json",
                               "sim_cache.json"};
   for (const char* file : kFileKinds) {
-    const std::string path = (std::filesystem::path(dir) / file).string();
+    // The manifest sits at the bundle root, the rest in the deployment's dir.
+    const std::filesystem::path root(dir);
+    const std::string path = (std::string(file) == "manifest.json"
+                                  ? root / file
+                                  : root / "deployment_0" / file)
+                                 .string();
     const std::string pristine = corruption::ReadBytes(path);
     ASSERT_GT(pristine.size(), 64u) << file;
 

@@ -1,6 +1,7 @@
 // Bundle merge tests: cache union with keep-first conflict resolution,
-// byte-identical self-merge (hex doubles pass through verbatim), refusal to
-// pool caches across differently trained estimators, and input validation.
+// byte-identical self-merge and merge with a re-save (a load and a save
+// reproduce every file), refusal to pool caches across differently trained
+// estimators, the store's fsync'd publish, and input validation.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,10 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/core/estimator_bank.h"
 #include "src/groundtruth/executor.h"
 #include "src/service/artifact_store.h"
 #include "src/service/bundle_merge.h"
+#include "src/service/service_engine.h"
 
 namespace maya {
 namespace {
@@ -29,6 +32,23 @@ std::string FileBytes(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+// Every file of a one-deployment bundle, bundle-relative.
+const char* const kBundleFiles[] = {
+    "manifest.json",
+    "deployment_0/kernel_estimator.json",
+    "deployment_0/collective_estimator.json",
+    "deployment_0/kernel_validation.json",
+    "deployment_0/kernel_cache.json",
+    "deployment_0/collective_cache.json",
+    "deployment_0/sim_cache.json",
+};
+
+void ExpectSameFiles(const std::string& expected_dir, const std::string& actual_dir) {
+  for (const char* file : kBundleFiles) {
+    EXPECT_EQ(FileBytes(actual_dir + "/" + file), FileBytes(expected_dir + "/" + file)) << file;
+  }
 }
 
 ModelConfig TinyGpt() {
@@ -136,13 +156,13 @@ TEST_F(BundleMergeTest, UnionsCachesKeepFirstAndStaysLoadable) {
   // The merged bundle loads and warms a fresh pipeline with the full union.
   const ArtifactStore store(out);
   ASSERT_TRUE(store.Exists());
-  Result<std::vector<LoadedDeployment>> loaded = store.LoadDeployments();
+  Result<std::vector<DeploymentRecord>> loaded = store.LoadDeployments();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), 1u);
 
   MayaPipeline warm(*cluster_, bank_->kernel.get(), bank_->collective.get());
-  Result<uint64_t> imported = store.WarmPipeline("default", warm);
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  warm.ImportKernelEstimates(loaded->front().kernel_cache);
+  warm.ImportCollectiveEstimates(loaded->front().collective_cache);
   EXPECT_EQ(warm.KernelCacheStats().entries, union_kernels);
   EXPECT_EQ(warm.CollectiveCacheStats().entries, union_collectives);
 
@@ -174,15 +194,57 @@ TEST_F(BundleMergeTest, SelfMergeIsByteIdentical) {
   ASSERT_EQ(report->deployments.size(), 1u);
   EXPECT_EQ(report->deployments[0].kernel_conflicts, report->deployments[0].kernel_entries);
 
-  // Merging never reformats: every data file of the merged deployment is
-  // byte-identical to the input's (hex doubles verbatim, canonical keys).
-  const std::string merged_dir = out + "/deployment_0";
-  for (const char* file : {"kernel_estimator.json", "collective_estimator.json",
-                           "kernel_cache.json", "collective_cache.json", "sim_cache.json"}) {
-    EXPECT_EQ(FileBytes(merged_dir + "/" + file), FileBytes(dir + "/" + std::string(file)))
-        << file;
-  }
+  // A load and a save reproduce every file of the bundle byte for byte:
+  // estimators (64-bit forest seeds included), validation split, caches and
+  // manifest.
+  ExpectSameFiles(dir, out);
   EXPECT_TRUE(ArtifactStore(out).LoadDeployments().ok());
+}
+
+TEST_F(BundleMergeTest, MergesWithServerReSaveOfItself) {
+  const std::string dir = TempDir("merge_resave_in");
+  const std::string copy = TempDir("merge_resave_copy");
+  const std::string out = TempDir("merge_resave_out");
+
+  MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
+  Warm(pipeline, Config(2, 2));
+  ASSERT_TRUE(ArtifactStore(dir).Save(*cluster_, *bank_, pipeline).ok());
+  // A server warm-started from the bundle saves it again: same estimators,
+  // same cache entries, possibly in another order.
+  {
+    Result<std::unique_ptr<ServiceEngine>> server =
+        ServiceEngine::FromArtifacts(*cluster_, ArtifactStore(dir), ServiceEngineOptions{});
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    ASSERT_TRUE(ArtifactStore(copy).SaveRegistry((*server)->registry()).ok());
+    (*server)->Shutdown();
+  }
+
+  Result<BundleMergeReport> report = MergeBundles({dir, copy}, out);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->deployments.size(), 1u);
+  const BundleMergeReport::DeploymentReport& merged = report->deployments[0];
+  EXPECT_EQ(merged.inputs, 2u);
+  EXPECT_EQ(merged.kernel_conflicts, merged.kernel_entries);
+  EXPECT_EQ(merged.collective_conflicts, merged.collective_entries);
+  EXPECT_EQ(merged.sim_conflicts, merged.sim_entries);
+  ExpectSameFiles(dir, out);
+}
+
+TEST_F(BundleMergeTest, FsyncFaultFailsWithoutPublishing) {
+  const std::string dir = TempDir("merge_fsync_in");
+  const std::string out = TempDir("merge_fsync_out");
+  MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
+  Warm(pipeline, Config(2, 2));
+  ASSERT_TRUE(ArtifactStore(dir).Save(*cluster_, *bank_, pipeline).ok());
+
+  // The merged bundle is published like a save: a failed durability barrier
+  // fails the merge and leaves no loadable bundle.
+  FaultInjection& faults = FaultInjection::Instance();
+  ASSERT_TRUE(faults.Configure("artifact.fsync=1", 3).ok());
+  const Result<BundleMergeReport> report = MergeBundles({dir, dir}, out);
+  faults.Disarm();
+  EXPECT_FALSE(report.ok());
+  EXPECT_FALSE(ArtifactStore(out).Exists());
 }
 
 TEST_F(BundleMergeTest, RefusesDifferentlyTrainedEstimatorsUnderOneName) {

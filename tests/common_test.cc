@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -310,6 +313,55 @@ TEST(JsonTest, ParserHandlesUnicodeEscapes) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->AsArray()[0].AsString(), "A");
   EXPECT_FALSE(ParseJson("[\"\\u1F60\"]").ok());  // above 0xFF unsupported
+}
+
+TEST(JsonTest, ParserKeepsIntegersExact) {
+  // 2^53+1, 2^64-1 and -2^63: none survives a round trip through a double.
+  const std::string text = "[9007199254740993,18446744073709551615,-9223372036854775808]";
+  Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonArray& values = parsed->AsArray();
+  EXPECT_EQ(values[0].AsUint(), uint64_t{9007199254740993u});
+  EXPECT_EQ(values[1].AsUint(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(values[2].AsInt(), std::numeric_limits<int64_t>::min());
+  JsonWriter w;
+  w.BeginArray();
+  w.Uint(values[0].AsUint());
+  w.Uint(values[1].AsUint());
+  w.Int(values[2].AsInt());
+  w.EndArray();
+  EXPECT_EQ(w.str(), text);
+}
+
+TEST(JsonTest, AsDoubleIsExactlyStrtod) {
+  for (const char* token :
+       {"0", "-0", "7", "-7", "007", "9007199254740993", "18446744073709551615",
+        "18446744073709551616", "-9223372036854775808", "-9223372036854775809",
+        "123456789012345678901234567890", "-0.0", "2.5", "1e3", "-1E-5", "1e999"}) {
+    Result<JsonValue> parsed = ParseJson(token);
+    ASSERT_TRUE(parsed.ok()) << token << ": " << parsed.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->AsDouble()),
+              std::bit_cast<uint64_t>(std::strtod(token, nullptr)))
+        << token;
+  }
+  EXPECT_FALSE(ParseJson("-").ok());
+  EXPECT_FALSE(ParseJson("1.5e").ok());
+  EXPECT_FALSE(ParseJson("[-0x1p3]").ok());
+}
+
+TEST(JsonTest, IntegerConversionsRefuseOutOfRange) {
+  const auto parse = [](const char* text) { return *ParseJson(text); };
+  EXPECT_EQ(*ToInt(parse("9223372036854775807")), std::numeric_limits<int64_t>::max());
+  EXPECT_FALSE(ToInt(parse("9223372036854775808")).ok());
+  EXPECT_FALSE(ToInt(parse("1e19")).ok());
+  EXPECT_FALSE(ToInt(parse("-1e19")).ok());
+  EXPECT_EQ(*ToInt(parse("-2.5")), -3);
+  EXPECT_FALSE(ToUint(parse("-1")).ok());
+  EXPECT_FALSE(ToUint(parse("18446744073709551616")).ok());
+  EXPECT_FALSE(ToUint(parse("1e999")).ok());
+  EXPECT_EQ(*ToUint(parse("2.5")), 3u);
+  EXPECT_EQ(*ToUint(parse("-0")), 0u);
+  EXPECT_EQ(ToInt(parse("\"7\"")).status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- ThreadPool -------------------------------------------------------------------

@@ -138,7 +138,11 @@ TEST_F(DeploymentRegistryTest, ResidentNamesListsRegisteredThenDerived) {
 
 TEST_F(DeploymentRegistryTest, UntrainedOwnedBankRefused) {
   DeploymentRegistry registry(SmallOptions());
-  EXPECT_EQ(registry.Register("default", H100Cluster(8), EstimatorBank{}).status().code(),
+  EXPECT_EQ(registry.Register("default", H100Cluster(8), std::make_shared<const EstimatorBank>())
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(registry.Register("default", H100Cluster(8), nullptr).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

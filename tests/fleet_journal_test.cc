@@ -1,9 +1,10 @@
 // FleetJournal durability tests: append/recover round-trips, torn-tail
 // repair, byte-exact rollback of faulted appends (journal.append_torn /
 // journal.fsync), checkpoint.partial leaving the previous state recoverable,
-// and the PR's acceptance bar — a crash at an arbitrary point (no graceful
+// and the acceptance bar — a crash at an arbitrary point (no graceful
 // checkpoint) recovers the exact fleet via checkpoint + journal replay, with
-// warm predictions hex-identical to the pre-crash server.
+// warm predictions hex-identical to the pre-crash server — plus bundle-backed
+// add_deployment, whose failures leave the registry and journal untouched.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -439,6 +440,94 @@ TEST(FleetJournalTest, JournalAppendFailureRollsBackTheAdd) {
   FleetJournal recovered(dir);
   ASSERT_TRUE(recovered.Open().ok());
   EXPECT_TRUE(recovered.plan().replay.empty());
+}
+
+// ---- Bundle-backed add_deployment ------------------------------------------
+
+// Saves a one-deployment bundle from an engine that answered one predict;
+// returns that answer and keeps the saving bank alive in `bank`.
+ServiceResponse SaveBundleAfterPredict(const std::string& bundle_dir,
+                                       std::shared_ptr<const EstimatorBank>* bank) {
+  std::unique_ptr<ServiceEngine> saver = MakeOwningEngine(H100Cluster(8));
+  const ServiceResponse answer = saver->Submit(PredictRequest(1)).get();
+  EXPECT_TRUE(answer.ok) << answer.error;
+  EXPECT_TRUE(ArtifactStore(bundle_dir).SaveRegistry(saver->registry()).ok());
+  *bank = saver->registry().Registered().front()->bank;
+  saver->Shutdown();
+  return answer;
+}
+
+// A bundle-backed add restores the saved estimators and warm caches instead
+// of re-training: the new deployment answers from cache, hex-identically to
+// the engine that saved the bundle.
+TEST(FleetJournalTest, BundleBackedAddWarmsCachesAndAnswersLikeTheSaver) {
+  const std::string bundle = FreshStateDir("add_bundle_source");
+  const std::string state = FreshStateDir("add_bundle_state");
+  std::shared_ptr<const EstimatorBank> bank;
+  const ServiceResponse saved = SaveBundleAfterPredict(bundle, &bank);
+
+  FleetJournal journal(state);
+  ASSERT_TRUE(journal.Open().ok());
+  ServiceEngineOptions options;
+  options.journal = &journal;
+  Result<std::unique_ptr<ServiceEngine>> created = ServiceEngine::Create(
+      H100Cluster(8), bank->kernel.get(), bank->collective.get(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ServiceEngine& engine = **created;
+
+  const ServiceResponse added =
+      engine.Submit(AddRequest(2, MakeAdd("restored", "h100x8", "tiny", bundle))).get();
+  ASSERT_TRUE(added.ok) << added.error;
+  EXPECT_FALSE(added.trained);
+  EXPECT_GT(added.warmed_entries, 0u);
+  EXPECT_TRUE(engine.registry().IsResident("restored"));
+  EXPECT_EQ(journal.stats().appends, 1u);
+
+  const ServiceResponse answer = engine.Submit(PredictRequest(3, "restored")).get();
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(PredictSignature(answer), PredictSignature(saved));
+  EXPECT_GT(answer.estimation.cache_hits, 0u);
+  EXPECT_EQ(answer.estimation.cache_misses, 0u);
+  engine.Shutdown();
+}
+
+// A damaged cache file fails the add before anything is registered: the
+// registry and the journal stay as they were, and once the bundle is
+// repaired the same add succeeds.
+TEST(FleetJournalTest, DamagedBundleAddLeavesRegistryAndJournalUntouched) {
+  const std::string bundle = FreshStateDir("add_damaged_source");
+  const std::string state = FreshStateDir("add_damaged_state");
+  std::shared_ptr<const EstimatorBank> bank;
+  SaveBundleAfterPredict(bundle, &bank);
+  const std::string cache = bundle + "/deployment_0/kernel_cache.json";
+  const std::string pristine = ReadBytes(cache);
+  ASSERT_GT(pristine.size(), 64u);
+  std::ofstream(cache, std::ios::binary | std::ios::trunc)
+      << pristine.substr(0, pristine.size() / 2);
+
+  FleetJournal journal(state);
+  ASSERT_TRUE(journal.Open().ok());
+  ServiceEngineOptions options;
+  options.journal = &journal;
+  Result<std::unique_ptr<ServiceEngine>> created = ServiceEngine::Create(
+      H100Cluster(8), bank->kernel.get(), bank->collective.get(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ServiceEngine& engine = **created;
+
+  const ServiceResponse refused =
+      engine.Submit(AddRequest(2, MakeAdd("restored", "h100x8", "tiny", bundle))).get();
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, kErrInvalidRequest);
+  EXPECT_FALSE(engine.registry().IsResident("restored"));
+  EXPECT_EQ(journal.stats().appends, 0u);
+  EXPECT_EQ(ReadBytes(JournalPath(state)), "");
+
+  std::ofstream(cache, std::ios::binary | std::ios::trunc) << pristine;
+  const ServiceResponse retried =
+      engine.Submit(AddRequest(3, MakeAdd("restored", "h100x8", "tiny", bundle))).get();
+  EXPECT_TRUE(retried.ok) << retried.error;
+  EXPECT_EQ(journal.stats().appends, 1u);
+  engine.Shutdown();
 }
 
 }  // namespace

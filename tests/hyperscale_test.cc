@@ -1,8 +1,8 @@
 // Hyperscale virtual-folds tests: RankSet/RankLookup primitives, bit-identity
 // of the virtual (never-materialized) launch against full emulation
 // across engines / caches / parallelism / OOM, serialization of folded spans
-// (including the legacy folded_ranks format), and the service-layer wire and
-// batch-grouping contracts.
+// (and refusal of the retired dense folded_ranks form), and the
+// service-layer wire and batch-grouping contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -391,35 +391,26 @@ TEST_F(HyperscaleTest, VirtualJobTraceRoundTripsByteIdentical) {
   EXPECT_EQ(SerializeJobTrace(*parsed), json);
 }
 
-TEST_F(HyperscaleTest, LegacyFoldedRanksFormatStillParses) {
-  // Pre-span serializations carried materialized rank lists; they must keep
-  // parsing (sorted or not) into the canonical span form.
+TEST_F(HyperscaleTest, LegacyFoldedRanksFormatIsRejected) {
+  // Pre-span serializations carried materialized rank lists under
+  // "folded_ranks". Nothing writes that form, and a trace without
+  // "folded_spans" is refused with a typed error.
   const JobTrace job = CollateVirtualJob(TinyGpt(), FsdpConfig(), *cluster_);
   ASSERT_EQ(job.workers.size(), 1u);
-  WorkerTrace legacy_worker = job.workers[0];
-  legacy_worker.represented_ranks = RankSet{};  // legacy traces had no represented key
-  std::string comms_json;
-  {
-    const std::string json = SerializeJobTrace(job);
-    const size_t begin = json.find("\"comms\":");
-    const size_t end = json.find(",\"folded_spans\"");
-    ASSERT_NE(begin, std::string::npos);
-    ASSERT_NE(end, std::string::npos);
-    comms_json = json.substr(begin, end - begin);
-  }
-  const std::string legacy = "{\"world_size\":8," + comms_json +
+  const std::string json = SerializeJobTrace(job);
+  EXPECT_EQ(json.find("folded_ranks"), std::string::npos);
+  const size_t begin = json.find("\"comms\":");
+  const size_t end = json.find(",\"folded_spans\"");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  const std::string legacy = "{\"world_size\":8," + json.substr(begin, end - begin) +
                              R"(,"folded_ranks":[[0,1,2,3,4,5,6,7]],"workers":[)" +
-                             SerializeWorkerTrace(legacy_worker) + "]}";
+                             SerializeWorkerTrace(job.workers[0]) + "]}";
   Result<JobTrace> parsed = ParseJobTrace(legacy);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->world_size, 8);
-  ASSERT_EQ(parsed->folded_ranks.size(), 1u);
-  EXPECT_EQ(parsed->folded_ranks[0], (RankSet{0, 1, 2, 3, 4, 5, 6, 7}));
-  // Legacy lists with duplicate ranks are rejected, not silently folded.
-  const std::string duplicated = "{\"world_size\":8," + comms_json +
-                                 R"(,"folded_ranks":[[0,1,1,2,3,4,5,6]],"workers":[)" +
-                                 SerializeWorkerTrace(legacy_worker) + "]}";
-  EXPECT_FALSE(ParseJobTrace(duplicated).ok());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("folded_spans"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 // ---- Service wire + batch grouping ------------------------------------------

@@ -288,23 +288,23 @@ TEST(ServiceProtocolTest, ParsedFieldsSurviveTheWire) {
   EXPECT_EQ(round.deployment, "h100x32");
 }
 
-TEST(ServiceProtocolTest, LegacyWhatIfClusterParsesAsDeploymentPredict) {
-  // v1 clients sent kind whatif_cluster with a `cluster` field; v2 maps it
-  // onto deployment-targeted predict (the migration path in the README).
+TEST(ServiceProtocolTest, LegacyWhatIfClusterKindIsRefused) {
+  // The v1 `whatif_cluster` kind is retired: it is an unknown kind like any
+  // other, answered INVALID_REQUEST under the caller's id. A predict with a
+  // `deployment` says the same thing.
   const std::string line =
       R"({"id":9,"kind":"whatif_cluster","model":{"name":"m","family":"GPT"},)"
       R"("config":{"tensor_parallel":2},"cluster":"h100x32"})";
   Result<ServiceRequest> parsed = ParseServiceRequest(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->kind(), ServiceRequestKind::kPredict);
-  const PredictPayload& payload = std::get<PredictPayload>(parsed->payload);
-  EXPECT_EQ(payload.deployment, "h100x32");
-  EXPECT_EQ(payload.config.tensor_parallel, 2);
-  // Without the cluster field the legacy kind is malformed.
-  EXPECT_FALSE(ParseServiceRequest(
-                   R"({"id":9,"kind":"whatif_cluster","model":{"name":"m","family":"GPT"},)"
-                   R"("config":{}})")
-                   .ok());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("unknown request kind 'whatif_cluster'"),
+            std::string::npos)
+      << parsed.status().ToString();
+  const ServiceResponse refused = ParseFailureResponse(line, parsed.status());
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, kErrInvalidRequest);
+  EXPECT_EQ(refused.id, 9u);
 }
 
 TEST(ServiceProtocolTest, SearchAndCancelRequestRoundTrip) {
@@ -1797,6 +1797,28 @@ TEST_F(ServiceTest, BackoffIsExponentialCappedAndDeterministicallyJittered) {
   // Two clients retrying the same outage spread out: different ids jitter
   // differently.
   EXPECT_NE(id1, id2);
+}
+
+TEST_F(ServiceTest, RequestIdsRoundTripAll64Bits) {
+  // Ids above 2^53 do not fit a double; the answer must still carry the
+  // caller's exact id, or a pipelining client cannot match it.
+  auto engine = MakeEngine();
+  for (const uint64_t id : {(uint64_t{1} << 53) + 1, ~uint64_t{0}}) {
+    const std::string line = SerializeServiceRequest(PredictRequest(id, BaseConfig()));
+    ASSERT_NE(line.find("\"id\":" + std::to_string(id) + ","), std::string::npos) << line;
+    Result<ServiceRequest> parsed = ParseServiceRequest(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->id, id);
+    const ServiceResponse response = engine->Submit(*std::move(parsed)).get();
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.id, id);
+    const std::string answer = SerializeServiceResponse(response);
+    EXPECT_NE(answer.find("\"id\":" + std::to_string(id) + ","), std::string::npos);
+    Result<ServiceResponse> round = ParseServiceResponse(answer);
+    ASSERT_TRUE(round.ok()) << round.status().ToString();
+    EXPECT_EQ(round->id, id);
+  }
+  engine->Shutdown();
 }
 
 // ---- Artifact warm start ----------------------------------------------------

@@ -337,20 +337,20 @@ TEST(SerializationTest, ParseJobTraceRejectsInconsistentPayloads) {
   // than CHECK-failing downstream in the simulator.
   WorkerTrace worker = MakeWorker(0, {Collective(42, 0, 2, 0)});
   const std::string json =
-      R"({"world_size":1,"comms":[],"folded_ranks":[[0]],"workers":[)" +
+      R"({"world_size":1,"comms":[],"folded_spans":[[[0,1,1]]],"workers":[)" +
       SerializeWorkerTrace(worker) + "]}";
   const Result<JobTrace> parsed = ParseJobTrace(json);
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("undeclared comm"), std::string::npos);
-  // Mismatched folded_ranks / workers lengths are rejected.
+  // Mismatched folded_spans / workers lengths are rejected.
   const std::string mismatched =
-      R"({"world_size":1,"comms":[],"folded_ranks":[[0],[1]],"workers":[)" +
+      R"({"world_size":1,"comms":[],"folded_spans":[[[0,1,1]],[[1,1,1]]],"workers":[)" +
       SerializeWorkerTrace(MakeWorker(0, {Kernel(0)})) + "]}";
   EXPECT_FALSE(ParseJobTrace(mismatched).ok());
   // Overlapping folded ranks (one rank claimed by two workers) would make
   // the simulator silently mis-synchronize collectives.
   const std::string overlapping =
-      R"({"world_size":2,"comms":[],"folded_ranks":[[0],[0]],"workers":[)" +
+      R"({"world_size":2,"comms":[],"folded_spans":[[[0,1,1]],[[0,1,1]]],"workers":[)" +
       SerializeWorkerTrace(MakeWorker(0, {Kernel(0)})) + "," +
       SerializeWorkerTrace(MakeWorker(1, {Kernel(0)})) + "]}";
   const Result<JobTrace> overlap_parsed = ParseJobTrace(overlapping);
@@ -359,16 +359,16 @@ TEST(SerializationTest, ParseJobTraceRejectsInconsistentPayloads) {
   // Folded ranks outside [0, world_size) would fall out of the simulator's
   // dense rank -> worker table and abort a collective rendezvous.
   const std::string out_of_range =
-      R"({"world_size":1,"comms":[],"folded_ranks":[[0,7]],"workers":[)" +
+      R"({"world_size":1,"comms":[],"folded_spans":[[[0,2,7]]],"workers":[)" +
       SerializeWorkerTrace(MakeWorker(0, {Kernel(0)})) + "]}";
   const Result<JobTrace> range_parsed = ParseJobTrace(out_of_range);
   EXPECT_FALSE(range_parsed.ok());
   EXPECT_NE(range_parsed.status().message().find("outside world size"), std::string::npos);
   // Wrong-typed fields are parse errors, not CHECK aborts.
   EXPECT_FALSE(
-      ParseJobTrace(R"({"world_size":"two","comms":[],"folded_ranks":[],"workers":[]})").ok());
+      ParseJobTrace(R"({"world_size":"two","comms":[],"folded_spans":[],"workers":[]})").ok());
   EXPECT_FALSE(
-      ParseJobTrace(R"({"world_size":1,"comms":{},"folded_ranks":[],"workers":[]})").ok());
+      ParseJobTrace(R"({"world_size":1,"comms":{},"folded_spans":[],"workers":[]})").ok());
 }
 
 }  // namespace

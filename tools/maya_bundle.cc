@@ -6,10 +6,10 @@
 //     cache entry counts and usage metadata.
 //
 //   maya_bundle merge --out=DIR IN1 IN2 [IN3 ...]
-//     Merges two or more bundles into a v2 bundle at DIR (see
+//     Merges two or more bundles into one bundle at DIR (see
 //     src/service/bundle_merge.h): deployments matched by name, estimate/sim
-//     caches unioned with keep-first conflict resolution, hex-double
-//     exactness preserved byte-for-byte. Refuses to pool caches produced by
+//     caches unioned with keep-first conflict resolution, written by the
+//     store's own fsync'd writer. Refuses to pool caches produced by
 //     differently trained estimators under one deployment name. The merged
 //     bundle is verified loadable before the tool reports success.
 #include <cstdio>
@@ -46,9 +46,9 @@ int RunInfo(const std::string& dir) {
                 static_cast<unsigned long long>(deployment.kernel_cache_entries),
                 static_cast<unsigned long long>(deployment.collective_cache_entries),
                 static_cast<unsigned long long>(deployment.sim_cache_entries));
-    if (deployment.timed_requests > 0) {
+    if (deployment.usage.timed_requests > 0) {
       std::printf("  (%llu timed requests)",
-                  static_cast<unsigned long long>(deployment.timed_requests));
+                  static_cast<unsigned long long>(deployment.usage.timed_requests));
     }
     std::printf("\n");
   }
@@ -66,8 +66,7 @@ int RunMerge(const std::string& out_dir, const std::vector<std::string>& inputs)
   // success (catches estimator/cache shape drift at merge time, not at the
   // next server start).
   const ArtifactStore store(out_dir);
-  if (Result<std::vector<LoadedDeployment>> loaded = store.LoadDeployments();
-      !loaded.ok()) {
+  if (Result<std::vector<DeploymentRecord>> loaded = store.LoadDeployments(); !loaded.ok()) {
     std::fprintf(stderr, "maya_bundle: merged bundle fails to load: %s\n",
                  loaded.status().ToString().c_str());
     return 1;
@@ -84,7 +83,7 @@ int RunMerge(const std::string& out_dir, const std::vector<std::string>& inputs)
         static_cast<unsigned long long>(entry.sim_entries),
         static_cast<unsigned long long>(entry.sim_conflicts));
   }
-  std::printf("wrote v2 bundle to %s\n", out_dir.c_str());
+  std::printf("wrote bundle to %s\n", out_dir.c_str());
   return 0;
 }
 
