@@ -52,7 +52,7 @@ int main() {
     EstimatorBank& bank = cache.BankFor(test_case.setup.cluster);
     MayaPipelineOptions options;
     options.enable_estimate_cache = false;
-    // Same hygiene for stage 4: the with-dedup arm must not replay components
+    // Same hygiene for stage 4: the with-dedup arm must not serve its replay
     // from a cache warmed by the without-dedup arm.
     options.enable_sim_cache = false;
     MayaPipeline pipeline(test_case.setup.cluster, bank.kernel.get(), bank.collective.get(),

@@ -4,8 +4,7 @@
 // the per-op costs the Fig. 13 stack runtimes are built from. Also emits
 // BENCH_estimation.json (estimation-throughput study: naive per-op vs.
 // deduped-batched vs. warm-cache predictions/sec), BENCH_emulation.json,
-// BENCH_simulation.json ({sequential, partitioned} x {replica dedup on/off}
-// stage-4 replays + warm sim cache) and BENCH_service.json.
+// BENCH_hyperscale.json and BENCH_service.json.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -457,153 +456,6 @@ void RunEmulationThroughputStudy(bool tiny) {
   std::cout << "Wrote BENCH_emulation.json\n";
 }
 
-// Simulation-throughput study: stage-4 wall-ms per replay across
-// {sequential, partitioned} x {replica dedup on/off} per framework, plus the
-// warm cross-trial sim cache — written to BENCH_simulation.json. Every arm's
-// report is CHECKed bit-identical to the sequential whole-cluster replay, so
-// the study measures pure speedup. Traces are collated WITHOUT worker dedup
-// (every GPU simulated): the simulator's own replica fold is the lever under
-// measurement — §7.4's symmetry applied at stage 4.
-double MeasureSimulationWallMs(const JobTrace& job, const ClusterSpec& cluster,
-                               const SimOptions& options, int passes, SimReport* out) {
-  Result<SimReport> warmup = Simulator(job, cluster, options).Run();
-  CHECK(warmup.ok()) << warmup.status().ToString();
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < passes; ++i) {
-    Result<SimReport> report = Simulator(job, cluster, options).Run();
-    CHECK(report.ok());
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  *out = *std::move(warmup);
-  return seconds * 1000.0 / passes;
-}
-
-void CheckBitIdenticalReports(const SimReport& expected, const SimReport& actual,
-                              const char* arm) {
-  CHECK(expected.total_time_us == actual.total_time_us) << arm;
-  CHECK(expected.events_processed == actual.events_processed) << arm;
-  CHECK(expected.workers.size() == actual.workers.size()) << arm;
-  for (size_t w = 0; w < expected.workers.size(); ++w) {
-    CHECK(expected.workers[w] == actual.workers[w]) << arm << " worker " << w;
-  }
-}
-
-void RunSimulationThroughputStudy(bool tiny) {
-  EstimationFixture& fixture = EstimationFixture::Get();
-  ModelConfig model = BenchModel();
-  model.num_layers = tiny ? 2 : 16;
-  const ClusterSpec& cluster = fixture.cluster;
-  const int passes = tiny ? 3 : 20;
-  const int threads = static_cast<int>(
-      std::min<unsigned>(8, std::max(2u, std::thread::hardware_concurrency())));
-  ThreadPool pool(static_cast<size_t>(threads));
-  // Annotation machinery only (stage 3); the study times stage 4 directly.
-  MayaPipelineOptions annotate_options;
-  annotate_options.enable_estimate_cache = false;
-  MayaPipeline annotator(cluster, fixture.bank.kernel.get(), fixture.bank.collective.get(),
-                         annotate_options);
-
-  struct Case {
-    const char* framework;
-    TrainConfig config;
-  };
-  std::vector<Case> cases;
-  {
-    TrainConfig dp8;  // tp1 pp1 -> dp8: every rank twins rank 0 (Fig. 14 lever)
-    dp8.global_batch_size = 32;
-    dp8.microbatch_multiplier = 4;
-    cases.push_back({"megatron_dp8", dp8});
-    cases.push_back({"megatron_tp2pp2", BenchConfig()});
-    TrainConfig fsdp;
-    fsdp.framework = ParallelFramework::kFsdp;
-    fsdp.global_batch_size = 32;
-    fsdp.microbatch_multiplier = 4;
-    cases.push_back({"fsdp", fsdp});
-  }
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Field("benchmark", std::string_view("simulation_throughput"));
-  json.Field("world_size", static_cast<int64_t>(cluster.total_gpus()));
-  json.Field("simulation_threads", static_cast<int64_t>(threads));
-  json.Field("passes", static_cast<int64_t>(passes));
-  json.Field("tiny", tiny);
-  json.KeyedBeginObject("frameworks");
-  std::cout << StrFormat(
-      "Simulation throughput (world %d, every GPU simulated): stage-4 wall-ms per replay\n",
-      cluster.total_gpus());
-  double symmetric_reduction = 0.0;
-  for (const Case& test_case : cases) {
-    Result<LaunchResult> launched = EmulateJob(model, test_case.config, cluster);
-    CHECK(launched.ok()) << launched.status().ToString();
-    CHECK(!launched->oom) << launched->oom_detail;
-    CollationOptions collation;
-    collation.deduplicate = false;  // the full-cluster trace: every GPU simulated
-    TraceCollator collator(collation);
-    Result<JobTrace> collated = collator.Collate(std::move(launched->traces));
-    CHECK(collated.ok()) << collated.status().ToString();
-    JobTrace job = *std::move(collated);
-    annotator.AnnotateDurations(job, nullptr);
-
-    SimOptions sequential;
-    sequential.partition_components = false;
-    sequential.deduplicate_replicas = false;
-    SimOptions partitioned;
-    partitioned.deduplicate_replicas = false;
-    partitioned.pool = &pool;
-    SimOptions partitioned_dedup;
-    partitioned_dedup.pool = &pool;
-    SimulationCache cache;
-    SimOptions cached = partitioned_dedup;
-    cached.cache = &cache;
-
-    SimReport baseline;
-    SimReport report;
-    const double sequential_ms =
-        MeasureSimulationWallMs(job, cluster, sequential, passes, &baseline);
-    const double partitioned_ms =
-        MeasureSimulationWallMs(job, cluster, partitioned, passes, &report);
-    CheckBitIdenticalReports(baseline, report, "partitioned");
-    const double dedup_ms =
-        MeasureSimulationWallMs(job, cluster, partitioned_dedup, passes, &report);
-    CheckBitIdenticalReports(baseline, report, "partitioned+dedup");
-    const SimulationStats dedup_stats = report.stats;
-    const double cached_ms = MeasureSimulationWallMs(job, cluster, cached, passes, &report);
-    CheckBitIdenticalReports(baseline, report, "warm sim cache");
-    const double reduction = sequential_ms / dedup_ms;
-    if (test_case.framework == std::string_view("megatron_dp8")) {
-      symmetric_reduction = reduction;
-    }
-
-    json.KeyedBeginObject(test_case.framework);
-    json.Field("workers", static_cast<uint64_t>(job.workers.size()));
-    json.Field("trace_ops", static_cast<uint64_t>(job.TotalOps()));
-    json.Field("folded_workers", dedup_stats.folded_workers);
-    json.Field("components", dedup_stats.components);
-    json.Field("sequential_wall_ms", sequential_ms);
-    json.Field("partitioned_wall_ms", partitioned_ms);
-    json.Field("partitioned_dedup_wall_ms", dedup_ms);
-    json.Field("warm_sim_cache_wall_ms", cached_ms);
-    json.Field("reduction_partitioned_vs_sequential", sequential_ms / partitioned_ms);
-    json.Field("reduction_partitioned_dedup_vs_sequential", reduction);
-    json.Field("reduction_warm_cache_vs_sequential", sequential_ms / cached_ms);
-    json.EndObject();
-    std::cout << StrFormat(
-        "  %-16s seq %7.3f ms | part %7.3f ms | +dedup %7.3f ms (%.1fx, %llu/%zu workers "
-        "folded) | warm cache %7.3f ms (%.1fx)\n",
-        test_case.framework, sequential_ms, partitioned_ms, dedup_ms, reduction,
-        static_cast<unsigned long long>(dedup_stats.folded_workers), job.workers.size(),
-        cached_ms, sequential_ms / cached_ms);
-  }
-  json.EndObject();
-  json.Field("symmetric_reduction_partitioned_dedup_vs_sequential", symmetric_reduction);
-  json.EndObject();
-  std::ofstream out("BENCH_simulation.json");
-  out << json.str() << "\n";
-  std::cout << "Wrote BENCH_simulation.json\n";
-}
-
 // Service-throughput study: requests/s through a warm ServiceEngine at 1, 4
 // and 16 concurrent clients, plus cold-start vs artifact-bundle warm-start on
 // a repeated config sweep — written to BENCH_service.json.
@@ -935,16 +787,13 @@ int main(int argc, char** argv) {
   bool run_study = true;
   bool run_service_study = true;
   bool run_emulation_study = true;
-  bool run_simulation_study = true;
   bool run_hyperscale_study = true;
   bool emulation_study_tiny = false;
-  bool simulation_study_tiny = false;
   bool hyperscale_study_tiny = false;
   for (int i = argc - 1; i > 0; --i) {
     const std::string_view arg = argv[i];
     if (arg == "--no_estimation_study" || arg == "--no_service_study" ||
         arg == "--no_emulation_study" || arg == "--emulation_study_tiny" ||
-        arg == "--no_simulation_study" || arg == "--simulation_study_tiny" ||
         arg == "--no_hyperscale_study" || arg == "--hyperscale_study_tiny") {
       if (arg == "--no_estimation_study") {
         run_study = false;
@@ -952,12 +801,8 @@ int main(int argc, char** argv) {
         run_service_study = false;
       } else if (arg == "--no_emulation_study") {
         run_emulation_study = false;
-      } else if (arg == "--no_simulation_study") {
-        run_simulation_study = false;
       } else if (arg == "--no_hyperscale_study") {
         run_hyperscale_study = false;
-      } else if (arg == "--simulation_study_tiny") {
-        simulation_study_tiny = true;  // CI harness smoke at reduced size
       } else if (arg == "--hyperscale_study_tiny") {
         hyperscale_study_tiny = true;  // CI harness smoke at reduced size
       } else {
@@ -970,7 +815,6 @@ int main(int argc, char** argv) {
       run_study = false;
       run_service_study = false;
       run_emulation_study = false;
-      run_simulation_study = false;
       run_hyperscale_study = false;
     }
   }
@@ -980,9 +824,6 @@ int main(int argc, char** argv) {
   }
   if (run_emulation_study) {
     maya::RunEmulationThroughputStudy(emulation_study_tiny);
-  }
-  if (run_simulation_study) {
-    maya::RunSimulationThroughputStudy(simulation_study_tiny);
   }
   if (run_hyperscale_study) {
     maya::RunHyperscaleStudy(hyperscale_study_tiny);

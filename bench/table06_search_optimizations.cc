@@ -34,12 +34,9 @@ int main() {
   EstimatorBank& bank = cache.BankFor(setup.cluster);
   MayaPipelineOptions unopt_options;
   unopt_options.enable_estimate_cache = false;
-  // The component-partitioned simulator and its cross-trial cache are also
-  // Maya optimizations; the unoptimized arm replays the whole cluster
-  // sequentially (worker dedup in the simulator is already off via the
-  // request's deduplicate_workers=false).
+  // The cross-trial sim cache is a Maya optimization too; the unoptimized arm
+  // replays every worker (deduplicate_workers=false below) on every trial.
   unopt_options.enable_sim_cache = false;
-  unopt_options.partition_simulation = false;
   MayaPipeline unopt_pipeline(setup.cluster, bank.kernel.get(), bank.collective.get(),
                               unopt_options);
   int valid_count = 0;
@@ -114,12 +111,9 @@ int main() {
                                       maya.estimation_totals.cache_misses),
       maya.executed);
   std::cout << StrFormat(
-      "Simulation stage: Maya folded %llu/%llu workers, replayed %llu of %llu components "
-      "(%llu sim-cache hits); no-optimization arm replays every worker sequentially\n",
-      static_cast<unsigned long long>(maya.simulation_totals.folded_workers),
-      static_cast<unsigned long long>(maya.simulation_totals.workers),
-      static_cast<unsigned long long>(maya.simulation_totals.simulated_components),
-      static_cast<unsigned long long>(maya.simulation_totals.components),
+      "Simulation stage: Maya ran %llu replays and served %llu from the sim cache; "
+      "no-optimization arm replays every worker on every trial\n",
+      static_cast<unsigned long long>(maya.simulation_totals.cache_misses),
       static_cast<unsigned long long>(maya.simulation_totals.cache_hits));
   return 0;
 }

@@ -4,7 +4,7 @@
 // arms a deadline at submit time and flips the cancel flag on an explicit
 // "cancel" request) and the executing request, which probes `Check()` at
 // stage checkpoints: per-rank emulation, the collator fingerprint pass,
-// estimation batches, and per-component simulation replays. A non-OK probe
+// estimation batches, and the simulation replay. A non-OK probe
 // unwinds the pipeline through the ordinary Status plumbing BEFORE any
 // shared-cache publish, so a cancelled request leaves the trace / estimate /
 // sim caches byte-identical to never having run.

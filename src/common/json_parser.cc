@@ -384,9 +384,12 @@ Result<int64_t> ToInt(const JsonValue& value) {
       }
       break;
     case JsonValue::NumberRep::kDouble:
-      // [-2^63, 2^63); NaN fails both comparisons.
+      if (std::trunc(value.number_) != value.number_) {
+        return Status::InvalidArgument("expected an integral JSON number");
+      }
+      // [-2^63, 2^63).
       if (value.number_ >= -0x1p63 && value.number_ < 0x1p63) {
-        return static_cast<int64_t>(std::llround(value.number_));
+        return static_cast<int64_t>(value.number_);
       }
       break;
   }
@@ -406,8 +409,11 @@ Result<uint64_t> ToUint(const JsonValue& value) {
     case JsonValue::NumberRep::kUint:
       return value.uint_;
     case JsonValue::NumberRep::kDouble:
+      if (std::trunc(value.number_) != value.number_) {
+        return Status::InvalidArgument("expected an integral JSON number");
+      }
       if (value.number_ >= 0.0 && value.number_ < 0x1p64) {
-        return static_cast<uint64_t>(std::round(value.number_));
+        return static_cast<uint64_t>(value.number_);
       }
       break;
   }

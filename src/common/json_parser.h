@@ -40,7 +40,7 @@ class JsonValue {
 
   // Typed accessors CHECK the type. AsDouble of an integral number is the
   // nearest double, as strtod would round it; AsInt/AsUint also CHECK that
-  // the value fits (see ToInt/ToUint).
+  // the value is integral and fits (see ToInt/ToUint).
   bool AsBool() const;
   double AsDouble() const;
   int64_t AsInt() const;
@@ -90,8 +90,8 @@ Status RequireKeys(const JsonValue& value, std::initializer_list<const char*> ke
 // multi-tenant server. These return InvalidArgument instead.
 Result<bool> ToBool(const JsonValue& value);
 Result<double> ToNumber(const JsonValue& value);
-// Integral numbers convert exactly, others round to nearest; a value outside
-// the target type's range is InvalidArgument.
+// Integral numbers convert exactly (2.0 and 1e3 included); a non-integral
+// number, or a value outside the target type's range, is InvalidArgument.
 Result<int64_t> ToInt(const JsonValue& value);
 Result<uint64_t> ToUint(const JsonValue& value);
 Result<std::string> ToString(const JsonValue& value);

@@ -1,11 +1,11 @@
 // Low-overhead, thread-safe tracing + metrics layer for the serving stack.
 //
 // Tracing: every service request is assigned a trace id at admission; scoped
-// spans wrap queue wait, each pipeline stage, per-component simulation
-// replays and thread-pool tasks (the span context is propagated across
-// ThreadPool::ParallelFor). Events are PODs buffered in per-thread ring
-// buffers — span names must be string literals (static lifetime), no
-// allocation happens on the record path — and are exportable as Chrome
+// spans wrap queue wait, each pipeline stage and thread-pool tasks (the
+// span context is propagated across ThreadPool::ParallelFor). Events are
+// PODs buffered in per-thread ring buffers — span names must be string
+// literals (static lifetime), no allocation happens on the record path —
+// and are exportable as Chrome
 // trace-event JSON (openable in Perfetto / chrome://tracing).
 //
 // Metrics: a process-wide registry of named counters, gauges and

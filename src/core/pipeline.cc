@@ -285,13 +285,9 @@ Result<EstimationStats> MayaPipeline::AnnotateDurations(JobTrace& job,
   return stats;
 }
 
-Result<SimReport> MayaPipeline::Simulate(const JobTrace& job, bool deduplicate_replicas,
+Result<SimReport> MayaPipeline::Simulate(const JobTrace& job, bool /*unused*/,
                                          const CancelToken* cancel) const {
   SimOptions sim_options;
-  sim_options.partition_components = options_.partition_simulation;
-  sim_options.deduplicate_replicas = deduplicate_replicas;
-  sim_options.pool = stage_pool_;
-  sim_options.min_parallel_components = options_.min_parallel_simulation_components;
   sim_options.cache = options_.enable_sim_cache ? &sim_cache_ : nullptr;
   sim_options.cancel = cancel;
   Simulator simulator(job, cluster_, sim_options);
@@ -408,13 +404,11 @@ Result<PredictionReport> MayaPipeline::Predict(const PredictionRequest& request)
   }
   report.timings.estimation_ms = clock.LapMs();
 
-  // (4) End-to-end simulation (no SM contention: Maya's model, §8). The
-  // request's dedup knob extends to stage 4: dedup-off predictions replay
-  // every simulated worker individually.
+  // (4) End-to-end simulation (no SM contention: Maya's model, §8).
   MAYA_RETURN_IF_ERROR(faults.MaybeFail("pipeline.simulate"));
   Result<SimReport> sim = [&] {
     ScopedSpan span("simulate", "pipeline");
-    return Simulate(job, request.deduplicate_workers, request.cancel);
+    return Simulate(job, /*unused=*/true, request.cancel);
   }();
   if (!sim.ok()) {
     return sim.status();

@@ -30,7 +30,7 @@ namespace maya {
 // thousands of trials of a config search. Estimators are pure functions of
 // their inputs, so caching is output-preserving (bit-identical on vs. off).
 // Cache bounds are fixed (pipeline.cc): 2^20 entries over 32 lock stripes per
-// estimate cache, 128 collated traces, 2^16 sim-cache components over 16.
+// estimate cache, 128 collated traces, 2^16 sim-cache entries over 16.
 struct MayaPipelineOptions {
   bool enable_estimate_cache = true;
   // The shared execution context: one pool borrowed by per-rank emulation
@@ -49,20 +49,17 @@ struct MayaPipelineOptions {
   // re-annotates a copy of the cached trace. Off by default: entries hold
   // full JobTraces, so this trades memory for wall-clock.
   bool enable_trace_cache = false;
-  // Stage-4 knobs (all output-preserving — bit-identical to the sequential
-  // whole-cluster replay). Partitioning splits the annotated trace into
-  // independent comm components, replayed concurrently on the shared
-  // context's pool; the sim cache memoizes per-component results across
-  // Predict calls and search trials, keyed by the annotated component
-  // fingerprint (ops + durations + comm topology modulo rank renumbering).
-  bool partition_simulation = true;
+  // Stage 4 replays the whole annotated job on one event heap; the sim cache
+  // memoizes each replay's per-worker results across Predict calls, search
+  // trials and trace_predicts, keyed by the annotated job's fingerprint (ops
+  // + durations + comm topology, uids renumbered by first use). Output-
+  // preserving: a hit is bit-identical to a fresh replay.
   bool enable_sim_cache = true;
-  // Adaptive small-N fallbacks (forwarded to LaunchOptions::min_parallel_ranks
-  // and SimOptions::min_parallel_components): below these counts the pool
-  // fan-out costs more than the work and the stages run sequentially.
-  // Bit-identical either way; 1 forces the parallel arms (used in tests).
+  // Adaptive small-N fallback (forwarded to LaunchOptions::min_parallel_ranks):
+  // below this many ranks the pool fan-out costs more than the work and
+  // emulation runs sequentially. Bit-identical either way; 1 forces the
+  // parallel arm (used in tests).
   int min_parallel_emulation_ranks = 16;
-  size_t min_parallel_simulation_components = 4;
 };
 
 // Per-Predict estimation-stage counters (plumbed into PredictionReport and
@@ -115,7 +112,7 @@ struct PredictionRequest {
   const GroundTruthExecutor* oracle = nullptr;
   // Cooperative cancellation: Predict probes this token at stage boundaries
   // (per-rank emulation, the collator fingerprint pass, estimation batches,
-  // per-component sim replays) and unwinds with CANCELLED/DEADLINE_EXCEEDED
+  // the sim replay) and unwinds with CANCELLED/DEADLINE_EXCEEDED
   // before any shared-cache publish — a cancelled request leaves the trace /
   // estimate / sim caches byte-identical to never having run. Null = not
   // cancellable (direct library use, benches).
@@ -144,8 +141,8 @@ struct PredictionReport {
   StageTimings timings;
   CollationStats collation;
   EstimationStats estimation;
-  // Stage-4 counters: components, folded replicas, sim-cache hits (a copy of
-  // sim.stats, hoisted for symmetry with `estimation`).
+  // Stage-4 counters: workers, replays, sim-cache hits (a copy of sim.stats,
+  // hoisted for symmetry with `estimation`).
   SimulationStats simulation;
   int full_workers_emulated = 0;
   // True when stages 1+2 were served from the collated-trace cache.
@@ -179,13 +176,11 @@ class MayaPipeline {
   Result<EstimationStats> AnnotateDurations(JobTrace& job, const GroundTruthExecutor* oracle,
                                             const CancelToken* cancel) const;
 
-  // Stage 4 alone: replays an annotated trace through the component-
-  // partitioned simulator with the pipeline's knobs — the shared context's
-  // pool for concurrent components and the cross-trial sim cache.
-  // `deduplicate_replicas` applies the §4.2 worker-dedup lever at simulation
-  // time (lockstep replicas replay once); pass the request's
-  // `deduplicate_workers` so dedup-off predictions replay every worker.
-  Result<SimReport> Simulate(const JobTrace& job, bool deduplicate_replicas = true,
+  // Stage 4 alone: replays an annotated trace on one event heap through the
+  // cross-trial sim cache. The bool has no effect: worker dedup happens at
+  // collation, and the parameter stays only until the benchmark's traced
+  // replay stops passing it.
+  Result<SimReport> Simulate(const JobTrace& job, bool /*unused*/ = true,
                              const CancelToken* cancel = nullptr) const;
 
   const ClusterSpec& cluster() const { return cluster_; }
@@ -225,16 +220,16 @@ class MayaPipeline {
     }
   }
 
-  // Sim-cache export/import, mirroring the estimate caches: per-component
-  // replay results keyed by canonical component fingerprint. Imported values
+  // Sim-cache export/import, mirroring the estimate caches: per-job replay
+  // results keyed by canonical job fingerprint. Imported values
   // must come from the same estimators and cluster (the ArtifactStore bundles
   // all three), or replays would silently diverge from fresh simulation.
-  std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>>
+  std::vector<std::pair<uint64_t, std::shared_ptr<const SimCacheEntry>>>
   SnapshotSimCache() const {
     return sim_cache_.Snapshot();
   }
   void ImportSimCache(
-      const std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>>&
+      const std::vector<std::pair<uint64_t, std::shared_ptr<const SimCacheEntry>>>&
           entries) {
     for (const auto& [key, result] : entries) {
       sim_cache_.Insert(key, result);

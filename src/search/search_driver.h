@@ -61,8 +61,8 @@ struct SearchOutcome {
   // Summed estimation-stage counters across executed trials: total vs unique
   // ops and the cross-trial estimate cache's hit/miss split.
   EstimationStats estimation_totals;
-  // Summed simulation-stage counters across executed trials: components,
-  // folded replicas and the cross-trial sim cache's hit/miss split.
+  // Summed simulation-stage counters across executed trials: workers,
+  // replays and the cross-trial sim cache's hit/miss split.
   SimulationStats simulation_totals;
   // (unique valid configs sampled, best MFU so far) — Fig. 16 series.
   std::vector<std::pair<int, double>> progress;

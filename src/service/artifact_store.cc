@@ -31,7 +31,7 @@ namespace {
 //     kernel_validation.json   — held-out KernelDataset (MAPE evaluation)
 //     kernel_cache.json        — KernelDesc -> duration_us estimate entries
 //     collective_cache.json    — CollectiveRequest -> duration_us entries
-//     sim_cache.json           — component fingerprint -> per-worker replay
+//     sim_cache.json           — job fingerprint -> per-worker replay
 //                                metrics (the stage-4 cross-trial cache)
 constexpr const char* kManifestFile = "manifest.json";
 constexpr const char* kKernelEstimatorFile = "kernel_estimator.json";
@@ -167,7 +167,7 @@ Result<JsonValue> ReadJsonFile(const std::string& path) {
 
 using KernelEntry = std::pair<KernelDesc, double>;
 using CollectiveEntry = std::pair<CollectiveRequest, double>;
-using SimEntry = std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>;
+using SimEntry = std::pair<uint64_t, std::shared_ptr<const SimCacheEntry>>;
 
 template <typename T>
 std::string Render(void (*write)(JsonWriter&, const T&), const T& value) {
@@ -239,9 +239,9 @@ Result<CollectiveEntry> ParseCollectiveEntry(const JsonValue& value) {
   return CollectiveEntry(std::move(request), duration_us);
 }
 
-// Stage-4 component replays: the key is the canonical component fingerprint
-// (uint64, hex), the metrics are bit-exact doubles — a warm-started server
-// replays repeated components with the saving process's exact timelines.
+// Stage-4 replays: the key is the canonical job fingerprint (uint64, hex),
+// the metrics are bit-exact doubles — a warm-started server answers repeated
+// jobs with the saving process's exact timelines.
 void WriteSimEntry(JsonWriter& w, const SimEntry& entry) {
   w.BeginObject();
   w.Field("key", std::string_view(Uint64Hex(entry.first)));
@@ -265,7 +265,7 @@ Result<SimEntry> ParseSimEntry(const JsonValue& value) {
   MAYA_ASSIGN_OR_RETURN(const std::string key_hex, ToString(value.at("key")));
   MAYA_ASSIGN_OR_RETURN(const uint64_t key, Uint64FromHex(key_hex));
   MAYA_ASSIGN_OR_RETURN(const JsonArray* workers, ToArray(value.at("workers")));
-  auto result = std::make_shared<ComponentSimResult>();
+  auto result = std::make_shared<SimCacheEntry>();
   for (const JsonValue& worker : *workers) {
     MAYA_RETURN_IF_ERROR(RequireKeys(worker, {"finish_us", "host_busy_us", "compute_busy_us",
                                               "comm_busy_us", "exposed_comm_us", "events"}));

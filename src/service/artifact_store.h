@@ -51,7 +51,7 @@ struct DeploymentRecord {
   std::shared_ptr<const EstimatorBank> bank;
   std::vector<std::pair<KernelDesc, double>> kernel_cache;
   std::vector<std::pair<CollectiveRequest, double>> collective_cache;
-  std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>> sim_cache;
+  std::vector<std::pair<uint64_t, std::shared_ptr<const SimCacheEntry>>> sim_cache;
   DeploymentUsage usage;
 
   uint64_t cache_entries() const {

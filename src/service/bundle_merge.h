@@ -11,7 +11,7 @@
 //     differently trained banks under one name refuse to merge rather than
 //     mix.
 //   - Caches union with keep-first conflict resolution, keyed as the
-//     pipeline keys them (KernelDesc, CollectiveRequest, component
+//     pipeline keys them (KernelDesc, CollectiveRequest, job
 //     fingerprint). Bank, validation split and usage totals come from the
 //     first input that carries the name.
 //

@@ -153,10 +153,7 @@ EstimationStats ParseEstimationStats(const JsonValue& value) {
 void WriteSimulationStats(JsonWriter& w, const SimulationStats& stats) {
   w.BeginObject();
   w.Field("workers", stats.workers);
-  w.Field("folded_workers", stats.folded_workers);
   w.Field("components", stats.components);
-  w.Field("replicated_components", stats.replicated_components);
-  w.Field("simulated_components", stats.simulated_components);
   w.Field("cache_hits", stats.cache_hits);
   w.Field("cache_misses", stats.cache_misses);
   w.Field("hit_rate", stats.hit_rate());
@@ -166,10 +163,7 @@ void WriteSimulationStats(JsonWriter& w, const SimulationStats& stats) {
 SimulationStats ParseSimulationStats(const JsonValue& value) {
   SimulationStats stats;
   stats.workers = value.at("workers").AsUint();
-  stats.folded_workers = value.at("folded_workers").AsUint();
   stats.components = value.at("components").AsUint();
-  stats.replicated_components = value.at("replicated_components").AsUint();
-  stats.simulated_components = value.at("simulated_components").AsUint();
   stats.cache_hits = value.at("cache_hits").AsUint();
   stats.cache_misses = value.at("cache_misses").AsUint();
   return stats;
@@ -794,7 +788,7 @@ Result<ServiceRequest> ParseServiceRequest(const std::string& line) {
   // straight off the wire, so validate their types before touching them.
   const Result<uint64_t> id = ToUint(root.at("id"));
   if (!id.ok()) {
-    return Status::InvalidArgument("request id must be a non-negative 64-bit number");
+    return Status::InvalidArgument("request id must be a non-negative 64-bit integer");
   }
   if (root.at("kind").type() != JsonValue::Type::kString) {
     return Status::InvalidArgument("request kind must be a string");

@@ -795,8 +795,8 @@ ServiceResponse ServiceEngine::ExecuteTracePredict(const ServiceRequest& request
                          deployment.status().ToString());
   }
   // The trace arrives pre-collated: run stages 3+4 only. Stage 4 goes
-  // through the deployment pipeline's partitioned simulator, so repeated
-  // trace_predicts share its cross-trial sim cache.
+  // through the deployment pipeline's simulator, so repeated trace_predicts
+  // share its cross-trial sim cache.
   JobTrace job = payload.trace;
   ServiceResponse response;
   response.id = request.id;
@@ -809,7 +809,7 @@ ServiceResponse ServiceEngine::ExecuteTracePredict(const ServiceRequest& request
   }
   response.estimation = *annotated;
   Result<SimReport> sim =
-      (*deployment)->pipeline->Simulate(job, /*deduplicate_replicas=*/true, cancel);
+      (*deployment)->pipeline->Simulate(job, /*unused=*/true, cancel);
   if (!sim.ok()) {
     return ErrorResponse(request, ErrorCodeFor(sim.status()), sim.status().ToString());
   }

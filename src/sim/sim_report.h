@@ -23,19 +23,14 @@ struct WorkerSimReport {
   bool operator==(const WorkerSimReport&) const = default;
 };
 
-// Simulation-stage counters (the stage-4 analogue of EstimationStats): how
-// much replay the component-partitioned simulator actually performed versus
-// served through lockstep-replica folding, component-level dedup, and the
-// cross-trial simulation cache. Every lever is output-preserving, so these
-// are observability, not semantics.
+// Simulation-stage counters (the stage-4 analogue of EstimationStats): the
+// job's workers, and whether its replay came from the cross-trial sim cache.
+// Observability, not semantics: a cache hit reproduces the replay exactly.
 struct SimulationStats {
-  uint64_t workers = 0;          // sim workers in the job trace
-  uint64_t folded_workers = 0;   // lockstep replicas folded onto a representative
-  uint64_t components = 0;       // independent comm components (over representatives)
-  uint64_t replicated_components = 0;  // served by replicating an identical sibling
-  uint64_t simulated_components = 0;   // actually replayed through an event heap
-  // Unique components served from / missing in the cross-trial sim cache.
-  // With the cache disabled every unique component counts as a miss.
+  uint64_t workers = 0;     // sim workers in the job trace
+  uint64_t components = 0;  // replays: one per simulated job
+  // Replays served from / missing in the cross-trial sim cache. With the
+  // cache disabled every replay counts as a miss.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
 
@@ -45,10 +40,7 @@ struct SimulationStats {
   }
   void Accumulate(const SimulationStats& other) {
     workers += other.workers;
-    folded_workers += other.folded_workers;
     components += other.components;
-    replicated_components += other.replicated_components;
-    simulated_components += other.simulated_components;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
   }
@@ -62,9 +54,8 @@ struct SimReport {
   uint64_t peak_memory_bytes = 0;
   size_t events_processed = 0;
   std::vector<WorkerSimReport> workers;
-  // How the report was produced (partitioning / dedup / cache); differs
-  // between execution strategies even though every field above is
-  // bit-identical across them.
+  // How the report was produced (replayed or served from the sim cache);
+  // every field above is bit-identical either way.
   SimulationStats stats;
 
   std::string Summary() const;

@@ -5,19 +5,13 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/common/strings.h"
-#include "src/common/telemetry.h"
 
 namespace maya {
 namespace {
-
-// Minimum unique workers before the coarse fold-key scan fans out on the
-// borrowed pool; scanning a handful of traces is cheaper than the fan-out.
-constexpr size_t kParallelScanMinWorkers = 8;
 
 // Key for (event id, version): versions disambiguate CUDA event handle
 // re-use (Appendix A, CudaEventWaitMap).
@@ -44,7 +38,7 @@ struct SimEvent {
   double time = 0.0;
   uint64_t sequence = 0;  // FIFO tie-break for simultaneous events
   SimEventType type = SimEventType::kHostAdvance;
-  int worker = -1;  // component-local worker index
+  int worker = -1;  // index into JobTrace::workers
   uint64_t stream = 0;
 };
 
@@ -131,50 +125,18 @@ struct CollectiveWait {
   std::vector<CollectiveParticipant> joined;
 };
 
-// A stream still holding work when the event queue drained (deadlock
-// diagnostics): the stalled stream of smallest id for its worker.
-struct StreamStall {
-  uint64_t stream = 0;
-  bool blocked_on_event = false;
-  size_t queued = 0;
-};
-
-// End state of one component replay — positional metrics for the report
-// plus the raw material the caller needs to synthesize deadlock diagnostics
-// in global worker order (matching the sequential whole-cluster replay).
-struct ComponentOutcome {
-  std::vector<WorkerSimMetrics> metrics;
-  std::vector<size_t> next_op;  // per local worker; == ops.size() when done
-  std::vector<std::optional<StreamStall>> stall;
-  bool waits_pending = false;
-
-  bool deadlocked(const JobTrace& job, const std::vector<int>& workers) const {
-    if (waits_pending) {
-      return true;
-    }
-    for (size_t i = 0; i < workers.size(); ++i) {
-      if (next_op[i] < job.workers[static_cast<size_t>(workers[i])].ops.size() ||
-          stall[i].has_value()) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-// Replays one worker subset through a private event heap. `expected_joins`
-// maps each referenced communicator to its number of distinct representative
-// joiners — all of which live in this component by construction, so the map
-// is shared read-only across concurrently replayed components.
-ComponentOutcome SimulateComponent(const JobTrace& job, const std::vector<int>& worker_indices,
-                                   const std::unordered_map<uint64_t, int>& expected_joins,
-                                   double dispatch_latency_us,
-                                   double compute_contention_factor) {
-  const size_t worker_count = worker_indices.size();
+// Replays every worker of `job` through one event heap and returns the
+// per-worker metrics, or a stuck-worker diagnostic if the trace deadlocks.
+// `expected_joins` maps each referenced communicator to its number of
+// distinct joining workers.
+Result<std::vector<WorkerSimMetrics>> Replay(
+    const JobTrace& job, const std::unordered_map<uint64_t, int>& expected_joins,
+    double dispatch_latency_us, double compute_contention_factor) {
+  const size_t worker_count = job.workers.size();
   std::vector<WorkerState> workers(worker_count);
   size_t total_ops = 0;
   for (size_t w = 0; w < worker_count; ++w) {
-    workers[w].trace = &job.workers[static_cast<size_t>(worker_indices[w])];
+    workers[w].trace = &job.workers[w];
     total_ops += workers[w].trace->ops.size();
   }
 
@@ -474,35 +436,58 @@ ComponentOutcome SimulateComponent(const JobTrace& job, const std::vector<int>& 
     }
   }
 
-  // ---- End state ------------------------------------------------------------
+  // ---- Termination checks (worker order: the first stuck worker, else a
+  // rendezvous left pending, else the first stalled stream) ----------------
 
-  ComponentOutcome outcome;
-  outcome.metrics.resize(worker_count);
-  outcome.next_op.resize(worker_count);
-  outcome.stall.resize(worker_count);
-  outcome.waits_pending = !collective_waits.empty();
-  for (size_t w = 0; w < worker_count; ++w) {
-    const WorkerState& worker = workers[w];
-    WorkerSimMetrics& metrics = outcome.metrics[w];
-    metrics.finish_us = worker.finish_us;
-    metrics.host_busy_us = worker.host_busy_us;
-    metrics.compute_busy_us = worker.compute_busy_us;
-    metrics.comm_busy_us = worker.comm_busy_us;
-    metrics.exposed_comm_us = worker.exposed_comm_us;
-    metrics.events = worker.events;
-    outcome.next_op[w] = worker.next_op;
-    // Deadlock diagnostics: the stalled stream of smallest id (deterministic
-    // across runs, unlike hash-map iteration order).
-    for (const auto& [stream_id, stream] : worker.streams) {
-      if (!(stream.busy || stream.blocked_on_event || !stream.queue.empty())) {
-        continue;
-      }
-      if (!outcome.stall[w].has_value() || stream_id < outcome.stall[w]->stream) {
-        outcome.stall[w] = StreamStall{stream_id, stream.blocked_on_event, stream.queue.size()};
-      }
+  for (const WorkerState& worker : workers) {
+    const WorkerTrace& trace = *worker.trace;
+    if (worker.next_op < trace.ops.size()) {
+      const TraceOp& op = trace.ops[worker.next_op];
+      return Status::Internal(StrFormat(
+          "deadlock: worker rank %d stuck at op %zu/%zu (%s%s)", trace.rank, worker.next_op,
+          trace.ops.size(), TraceOpTypeName(op.type),
+          op.type == TraceOpType::kCollective
+              ? StrFormat(", comm %llu seq %u",
+                          static_cast<unsigned long long>(op.collective.comm_uid),
+                          op.collective.seq)
+                    .c_str()
+              : ""));
     }
   }
-  return outcome;
+  if (!collective_waits.empty()) {
+    return Status::Internal("deadlock: collectives left waiting after event queue drained");
+  }
+  for (const WorkerState& worker : workers) {
+    // The stalled stream of smallest id (deterministic across runs, unlike
+    // hash-map iteration order).
+    const StreamState* stalled = nullptr;
+    uint64_t stalled_id = 0;
+    for (const auto& [stream_id, stream] : worker.streams) {
+      if ((stream.busy || stream.blocked_on_event || !stream.queue.empty()) &&
+          (stalled == nullptr || stream_id < stalled_id)) {
+        stalled = &stream;
+        stalled_id = stream_id;
+      }
+    }
+    if (stalled != nullptr) {
+      return Status::Internal(StrFormat(
+          "deadlock: rank %d stream %llu stalled (%s) with %zu queued ops", worker.trace->rank,
+          static_cast<unsigned long long>(stalled_id),
+          stalled->blocked_on_event ? "waiting on event" : "busy", stalled->queue.size()));
+    }
+  }
+
+  std::vector<WorkerSimMetrics> metrics(worker_count);
+  for (size_t w = 0; w < worker_count; ++w) {
+    const WorkerState& worker = workers[w];
+    metrics[w].finish_us = worker.finish_us;
+    metrics[w].host_busy_us = worker.host_busy_us;
+    metrics[w].compute_busy_us = worker.compute_busy_us;
+    metrics[w].comm_busy_us = worker.comm_busy_us;
+    metrics[w].exposed_comm_us = worker.exposed_comm_us;
+    metrics[w].events = worker.events;
+  }
+  return metrics;
 }
 
 }  // namespace
@@ -520,431 +505,114 @@ Result<SimReport> Simulator::Run() {
     return Status::InvalidArgument("empty job trace");
   }
 
-  // Dedup-aware worker table: span-indexed rank -> sim-worker map built
-  // straight from the compressed fold sets, so a 131k-rank world costs a
-  // handful of span entries rather than a dense O(world) table. Folded
-  // workers move in lockstep, so one representative join stands for all of
-  // its folded ranks (§4.2 dedup: redundant GPUs are neither emulated nor
-  // simulated).
+  // Span-indexed rank -> worker map built straight from the compressed fold
+  // sets, so a 131k-rank world costs a handful of span entries rather than a
+  // dense O(world) table. A folded worker joins once for all of its ranks
+  // (§4.2 dedup: redundant GPUs are neither emulated nor simulated).
   const RankLookup rank_to_worker(job_.folded_ranks);
 
-  // ---- Replica fold (§7.4 symmetry at simulation time) ----------------------
-  //
-  // Fold detection is two-phase because hashing a full trace costs about as
-  // much as replaying it. A coarse scan hashes only the collective ops (plus
-  // the op count) — communicator uids are precisely what distinguishes
-  // near-twins like tensor-parallel peers in different data-parallel groups —
-  // alongside the point-to-point marker (send/recv pairing must never fold)
-  // and the set of communicators the ops actually reference (membership
-  // alone creates no dependency: an unreferenced communicator never
-  // synchronizes anyone). Only coarse-equal candidate groups then pay for
-  // the full annotated fingerprint over every op field the replay reads.
-  const bool fingerprint_workers = options_.deduplicate_replicas && worker_count > 1;
-  std::vector<uint64_t> coarse(worker_count, 0);
-  std::vector<uint8_t> has_p2p(worker_count, 0);
-  std::vector<std::vector<uint64_t>> worker_uids(worker_count);
-  // The per-worker scans are independent pure reductions, so they fan out on
-  // the borrowed pool; the referenced-uid union below is a sequential merge
-  // of per-worker results, making the outcome order-independent (the set is
-  // sorted before use anyway).
-  auto coarse_scan = [&](size_t w) {
-    uint64_t hash = FnvMix(kFnvOffsetBasis, job_.workers[w].ops.size());
-    for (const TraceOp& op : job_.workers[w].ops) {
-      if (op.type != TraceOpType::kCollective) {
-        continue;
-      }
-      worker_uids[w].push_back(op.collective.comm_uid);
-      if (op.collective.kind == CollectiveKind::kSend ||
-          op.collective.kind == CollectiveKind::kRecv) {
-        has_p2p[w] = 1;
-      }
-      if (fingerprint_workers) {
-        hash = FnvMix(hash, op.AnnotatedSignature(op.collective.comm_uid));
-      }
+  // One walk over the ops numbers the referenced communicators by first use
+  // (membership alone synchronizes no one, so unreferenced ones are skipped)
+  // and, when a cache is attached, hashes the job's canonical fingerprint:
+  // every op field the replay reads, with communicator uids renumbered by
+  // first use, so equal fingerprints mean identical replays.
+  const bool fingerprint = options_.cache != nullptr;
+  uint64_t hash = FnvMix(kFnvOffsetBasis, worker_count);
+  std::unordered_map<uint64_t, uint64_t> comm_index;  // uid -> first-use index
+  std::vector<uint64_t> comm_order;                   // uids in first-use order
+  for (const WorkerTrace& trace : job_.workers) {
+    if (fingerprint) {
+      hash = FnvMix(hash, trace.ops.size());
     }
-    coarse[w] = hash;
-  };
-  if (options_.pool != nullptr && worker_count >= kParallelScanMinWorkers) {
-    options_.pool->ParallelFor(worker_count, coarse_scan);
-  } else {
-    for (size_t w = 0; w < worker_count; ++w) {
-      coarse_scan(w);
-    }
-  }
-  std::unordered_set<uint64_t> referenced_uids;
-  for (const std::vector<uint64_t>& uids : worker_uids) {
-    referenced_uids.insert(uids.begin(), uids.end());
-  }
-
-  // rep[w]: the lowest-indexed worker with an identical annotated trace that
-  // w's timeline replicates; self when unique (or a p2p endpoint).
-  std::vector<int> rep(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    rep[w] = static_cast<int>(w);
-  }
-  if (fingerprint_workers) {
-    std::unordered_map<uint64_t, std::vector<int>> coarse_groups;
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (!has_p2p[w]) {
-        coarse_groups[coarse[w]].push_back(static_cast<int>(w));
-      }
-    }
-    std::vector<int> candidates;  // members of multi-worker coarse groups
-    for (const auto& [key, members] : coarse_groups) {
-      (void)key;
-      if (members.size() >= 2) {
-        candidates.insert(candidates.end(), members.begin(), members.end());
-      }
-    }
-    // Full verification walks are independent pure hashes, so they fan out
-    // on the shared pool — the walk costs about as much as a replay, and on
-    // symmetric jobs every worker is a candidate.
-    std::vector<uint64_t> full(candidates.size(), 0);
-    auto full_fingerprint = [&](size_t index) {
-      uint64_t hash = kFnvOffsetBasis;
-      for (const TraceOp& op :
-           job_.workers[static_cast<size_t>(candidates[index])].ops) {
-        hash = FnvMix(hash, op.AnnotatedSignature(
-                             op.type == TraceOpType::kCollective ? op.collective.comm_uid : 0));
-      }
-      full[index] = hash;
-    };
-    if (options_.pool != nullptr && candidates.size() > 1) {
-      options_.pool->ParallelFor(candidates.size(), full_fingerprint);
-    } else {
-      for (size_t index = 0; index < candidates.size(); ++index) {
-        full_fingerprint(index);
-      }
-    }
-    std::unordered_map<int, uint64_t> full_by_worker;
-    full_by_worker.reserve(candidates.size());
-    for (size_t index = 0; index < candidates.size(); ++index) {
-      full_by_worker[candidates[index]] = full[index];
-    }
-    for (auto& [key, members] : coarse_groups) {
-      (void)key;
-      if (members.size() < 2) {
-        continue;  // no candidate twin: the full walk was skipped entirely
-      }
-      std::unordered_map<uint64_t, int> first_by_fingerprint;
-      for (int w : members) {  // ascending: coarse groups fill in index order
-        auto [it, inserted] = first_by_fingerprint.try_emplace(full_by_worker.at(w), w);
-        if (!inserted) {
-          rep[static_cast<size_t>(w)] = it->second;
+    for (const TraceOp& op : trace.ops) {
+      uint64_t token = 0;
+      if (op.type == TraceOpType::kCollective) {
+        auto [it, inserted] = comm_index.try_emplace(op.collective.comm_uid, comm_order.size());
+        if (inserted) {
+          comm_order.push_back(op.collective.comm_uid);
         }
+        token = it->second;
+      }
+      if (fingerprint) {
+        hash = FnvMix(hash, op.AnnotatedSignature(token));
       }
     }
   }
-  std::vector<int> representatives;
-  representatives.reserve(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    if (rep[w] == static_cast<int>(w)) {
-      representatives.push_back(static_cast<int>(w));
-    }
-  }
 
-  // Expected joiners per referenced communicator: distinct representative
-  // workers among its members (stamp-deduplicated, one epoch per comm).
+  // Expected joiners per referenced communicator: its distinct member
+  // workers (stamp-deduplicated, one epoch per communicator). The fingerprint
+  // adds each communicator's joiners as sorted worker indices.
   std::unordered_map<uint64_t, int> expected_joins;
-  expected_joins.reserve(referenced_uids.size());
-  std::vector<std::vector<int>> comm_reps;  // parallel edge lists for union-find
-  comm_reps.reserve(referenced_uids.size());
-  std::vector<int> worker_stamp(worker_count, -1);
-  int comm_epoch = 0;
-  std::vector<uint64_t> referenced_ordered(referenced_uids.begin(), referenced_uids.end());
-  std::sort(referenced_ordered.begin(), referenced_ordered.end());
-  for (uint64_t uid : referenced_ordered) {
-    const CommGroup& group = job_.comm(uid);
-    std::vector<int> reps;
-    for (int member : group.members) {
+  expected_joins.reserve(comm_order.size());
+  std::vector<size_t> stamp(worker_count, comm_order.size());
+  std::vector<int> joiners;
+  for (size_t local = 0; local < comm_order.size(); ++local) {
+    const uint64_t uid = comm_order[local];
+    joiners.clear();
+    for (int member : job_.comm(uid).members) {
       const int worker = rank_to_worker.Find(member);
-      if (worker < 0) {
-        continue;
-      }
-      const int representative = rep[static_cast<size_t>(worker)];
-      if (worker_stamp[static_cast<size_t>(representative)] != comm_epoch) {
-        worker_stamp[static_cast<size_t>(representative)] = comm_epoch;
-        reps.push_back(representative);
+      if (worker >= 0 && stamp[static_cast<size_t>(worker)] != local) {
+        stamp[static_cast<size_t>(worker)] = local;
+        joiners.push_back(worker);
       }
     }
-    expected_joins[uid] = static_cast<int>(reps.size());
-    comm_reps.push_back(std::move(reps));
-    ++comm_epoch;
-  }
-
-  // ---- Component partition ---------------------------------------------------
-  //
-  // Union-find over representatives: a referenced communicator with two or
-  // more distinct representative joiners is a cross-worker dependency; the
-  // connected components it induces are independent and replay in isolation.
-  std::vector<int> parent(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    parent[w] = static_cast<int>(w);
-  }
-  std::function<int(int)> find = [&](int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] = parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  };
-  if (options_.partition_components) {
-    for (const std::vector<int>& reps : comm_reps) {
-      for (size_t i = 1; i < reps.size(); ++i) {
-        parent[static_cast<size_t>(find(reps[i]))] = find(reps[0]);
+    expected_joins[uid] = static_cast<int>(joiners.size());
+    if (fingerprint) {
+      std::sort(joiners.begin(), joiners.end());
+      hash = FnvMix(hash, local);
+      hash = FnvMix(hash, joiners.size());
+      for (int worker : joiners) {
+        hash = FnvMix(hash, static_cast<uint64_t>(worker));
       }
-    }
-  } else {
-    // Whole-cluster replay: every representative in one component.
-    for (int representative : representatives) {
-      parent[static_cast<size_t>(find(representative))] = find(representatives.front());
     }
   }
 
-  std::unordered_map<int, std::vector<int>> by_root;
-  for (int representative : representatives) {
-    by_root[find(representative)].push_back(representative);  // ascending: reps are ascending
-  }
-  std::vector<std::vector<int>> components;
-  components.reserve(by_root.size());
-  for (auto& [root, members] : by_root) {
-    (void)root;
-    components.push_back(std::move(members));
-  }
-  std::sort(components.begin(), components.end(),
-            [](const std::vector<int>& a, const std::vector<int>& b) {
-              return a.front() < b.front();
-            });
+  // Cache key: the fingerprint plus every resolved knob the replay reads (the
+  // cluster's only influence is the default dispatch latency, already folded
+  // into the resolved value).
+  const uint64_t cache_key =
+      HashCombine(HashCombine(hash, std::bit_cast<uint64_t>(dispatch_latency_us_)),
+                  std::bit_cast<uint64_t>(options_.compute_contention_factor));
 
-  // Worker -> (component index, position within the component).
-  std::vector<int> component_of(worker_count, -1);
-  std::vector<int> position_of(worker_count, -1);
-  for (size_t c = 0; c < components.size(); ++c) {
-    for (size_t p = 0; p < components[c].size(); ++p) {
-      component_of[static_cast<size_t>(components[c][p])] = static_cast<int>(c);
-      position_of[static_cast<size_t>(components[c][p])] = static_cast<int>(p);
-    }
-  }
-
-  // ---- Component canonical fingerprints (dedup + cache keys) -----------------
-  //
-  // Hash everything the replay reads, with communicator uids renumbered by
-  // first use in the component walk and joiner sets expressed as positions
-  // within the component — identical fingerprints mean isomorphic replays
-  // under the positional worker bijection, so reports transfer verbatim.
-  // Skipped when nothing can consume them: component dedup needs at least
-  // two components, and the walk costs about as much as a replay.
-  const bool fingerprint_components =
-      options_.cache != nullptr ||
-      (options_.deduplicate_replicas && components.size() > 1);
-  std::vector<uint64_t> component_fingerprints(components.size(), 0);
-  if (fingerprint_components) {
-    for (size_t c = 0; c < components.size(); ++c) {
-      const std::vector<int>& members = components[c];
-      uint64_t hash = FnvMix(kFnvOffsetBasis, members.size());
-      std::unordered_map<uint64_t, uint64_t> local_comm;
-      std::vector<uint64_t> local_comm_order;
-      for (int member : members) {
-        const WorkerTrace& trace = job_.workers[static_cast<size_t>(member)];
-        hash = FnvMix(hash, trace.ops.size());
-        for (const TraceOp& op : trace.ops) {
-          uint64_t token = 0;
-          if (op.type == TraceOpType::kCollective) {
-            auto [it, inserted] =
-                local_comm.try_emplace(op.collective.comm_uid, local_comm.size());
-            if (inserted) {
-              local_comm_order.push_back(op.collective.comm_uid);
-            }
-            token = it->second;
-          }
-          hash = FnvMix(hash, op.AnnotatedSignature(token));
-        }
-      }
-      // Comm topology: per local communicator, the positions of its distinct
-      // representative joiners within this component.
-      for (size_t local = 0; local < local_comm_order.size(); ++local) {
-        const uint64_t uid = local_comm_order[local];
-        hash = FnvMix(hash, local);
-        std::vector<int> positions;
-        for (int member : job_.comm(uid).members) {
-          const int worker = rank_to_worker.Find(member);
-          if (worker < 0) {
-            continue;
-          }
-          const int representative = rep[static_cast<size_t>(worker)];
-          if (component_of[static_cast<size_t>(representative)] == static_cast<int>(c)) {
-            positions.push_back(position_of[static_cast<size_t>(representative)]);
-          }
-        }
-        std::sort(positions.begin(), positions.end());
-        positions.erase(std::unique(positions.begin(), positions.end()), positions.end());
-        hash = FnvMix(hash, positions.size());
-        for (int position : positions) {
-          hash = FnvMix(hash, static_cast<uint64_t>(position));
-        }
-      }
-      component_fingerprints[c] = hash;
-    }
-  }
-
-  // Component-level replica dedup: equal canonical fingerprints replay once.
-  std::vector<int> component_source(components.size());
   SimulationStats stats;
   stats.workers = worker_count;
-  stats.folded_workers = worker_count - representatives.size();
-  stats.components = components.size();
-  {
-    std::unordered_map<uint64_t, int> first_by_fingerprint;
-    for (size_t c = 0; c < components.size(); ++c) {
-      component_source[c] = static_cast<int>(c);
-      if (options_.deduplicate_replicas && fingerprint_components) {
-        auto [it, inserted] =
-            first_by_fingerprint.try_emplace(component_fingerprints[c], static_cast<int>(c));
-        if (!inserted) {
-          component_source[c] = it->second;
-          ++stats.replicated_components;
-        }
-      }
+  stats.components = 1;
+  std::shared_ptr<const SimCacheEntry> result;
+  if (fingerprint) {
+    if (std::optional<std::shared_ptr<const SimCacheEntry>> hit =
+            options_.cache->Lookup(cache_key);
+        hit.has_value() && (*hit)->workers.size() == worker_count) {
+      result = *std::move(hit);
+      ++stats.cache_hits;
     }
   }
-
-  // ---- Replay ---------------------------------------------------------------
-
-  // Cache keys: canonical fingerprint + every resolved knob the replay reads
-  // (the cluster's only influence is the default dispatch latency, already
-  // folded into the resolved value). One derivation shared by the lookup and
-  // insert sites, so they can never diverge.
-  auto cache_key = [this, &component_fingerprints](size_t c) {
-    return HashCombine(HashCombine(component_fingerprints[c],
-                                   std::bit_cast<uint64_t>(dispatch_latency_us_)),
-                       std::bit_cast<uint64_t>(options_.compute_contention_factor));
-  };
-
-  std::vector<ComponentOutcome> outcomes(components.size());
-  std::vector<bool> resolved(components.size(), false);  // cache hit or replica
-  std::vector<size_t> to_simulate;
-  for (size_t c = 0; c < components.size(); ++c) {
-    if (component_source[c] != static_cast<int>(c)) {
-      resolved[c] = true;  // replica: metrics come from its source positionally
-      continue;
+  if (result == nullptr) {
+    ++stats.cache_misses;
+    MAYA_RETURN_IF_ERROR(CheckCancel(options_.cancel));
+    Result<std::vector<WorkerSimMetrics>> replayed = Replay(
+        job_, expected_joins, dispatch_latency_us_, options_.compute_contention_factor);
+    // Checked before the publish below, so a cancelled run leaves the
+    // cross-trial sim cache untouched.
+    MAYA_RETURN_IF_ERROR(CheckCancel(options_.cancel));
+    MAYA_RETURN_IF_ERROR(replayed.status());
+    auto fresh = std::make_shared<SimCacheEntry>();
+    fresh->workers = *std::move(replayed);
+    if (fingerprint) {
+      options_.cache->Insert(cache_key, fresh);
     }
-    if (options_.cache != nullptr) {
-      if (std::optional<std::shared_ptr<const ComponentSimResult>> hit =
-              options_.cache->Lookup(cache_key(c))) {
-        if ((*hit)->workers.size() == components[c].size()) {
-          outcomes[c].metrics = (*hit)->workers;
-          resolved[c] = true;
-          ++stats.cache_hits;
-          continue;
-        }
-      }
-      ++stats.cache_misses;
-    } else if (fingerprint_components) {
-      ++stats.cache_misses;
-    }
-    to_simulate.push_back(c);
-  }
-  if (!fingerprint_components) {
-    stats.cache_misses = to_simulate.size();
-  }
-  stats.simulated_components = to_simulate.size();
-
-  auto simulate_one = [&](size_t index) {
-    ScopedSpan span("sim_component", "sim");
-    const size_t c = to_simulate[index];
-    outcomes[c] = SimulateComponent(job_, components[c], expected_joins, dispatch_latency_us_,
-                                    options_.compute_contention_factor);
-  };
-  if (options_.pool != nullptr &&
-      to_simulate.size() >= std::max<size_t>(options_.min_parallel_components, 2)) {
-    options_.pool->ParallelFor(to_simulate.size(), simulate_one);
+    result = std::move(fresh);
   } else {
-    for (size_t index = 0; index < to_simulate.size(); ++index) {
-      // Per-component cancellation checkpoint: unwinds before the next replay
-      // — and always before the cache publish below, so a cancelled run
-      // leaves the cross-trial sim cache untouched.
-      MAYA_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-      simulate_one(index);
-    }
-  }
-  // Authoritative post-replay checkpoint (covers the parallel arm, whose
-  // components finish together): nothing published yet.
-  MAYA_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-
-  // ---- Termination checks (global worker order, matching the sequential
-  // whole-cluster replay's diagnostics) ---------------------------------------
-
-  bool any_deadlock = false;
-  for (size_t c = 0; c < components.size() && !any_deadlock; ++c) {
-    if (component_source[c] != static_cast<int>(c) || resolved[c]) {
-      continue;  // replicas and cache hits mirror successful replays
-    }
-    any_deadlock = outcomes[c].deadlocked(job_, components[c]);
-  }
-  // Maps a worker to the outcome slot + position holding its timeline.
-  auto outcome_for = [&](size_t w) -> std::pair<const ComponentOutcome*, size_t> {
-    const int representative = rep[w];
-    const int component = component_of[static_cast<size_t>(representative)];
-    const size_t source = static_cast<size_t>(component_source[static_cast<size_t>(component)]);
-    return {&outcomes[source], static_cast<size_t>(position_of[static_cast<size_t>(representative)])};
-  };
-  if (any_deadlock) {
-    for (size_t w = 0; w < worker_count; ++w) {
-      const auto [outcome, position] = outcome_for(w);
-      if (outcome->next_op.empty()) {
-        continue;  // unreplayed (cache-hit) components are never stuck
-      }
-      const size_t next_op = outcome->next_op[position];
-      const WorkerTrace& trace = job_.workers[w];
-      if (next_op < trace.ops.size()) {
-        const TraceOp& op = trace.ops[next_op];
-        return Status::Internal(StrFormat(
-            "deadlock: worker rank %d stuck at op %zu/%zu (%s%s)", trace.rank, next_op,
-            trace.ops.size(), TraceOpTypeName(op.type),
-            op.type == TraceOpType::kCollective
-                ? StrFormat(", comm %llu seq %u",
-                            static_cast<unsigned long long>(op.collective.comm_uid),
-                            op.collective.seq)
-                      .c_str()
-                : ""));
-      }
-    }
-    for (const ComponentOutcome& outcome : outcomes) {
-      if (outcome.waits_pending) {
-        return Status::Internal("deadlock: collectives left waiting after event queue drained");
-      }
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      const auto [outcome, position] = outcome_for(w);
-      if (outcome->stall.empty() || !outcome->stall[position].has_value()) {
-        continue;
-      }
-      const StreamStall& stall = *outcome->stall[position];
-      return Status::Internal(StrFormat(
-          "deadlock: rank %d stream %llu stalled (%s) with %zu queued ops",
-          job_.workers[w].rank, static_cast<unsigned long long>(stall.stream),
-          stall.blocked_on_event ? "waiting on event" : "busy", stall.queued));
-    }
-    return Status::Internal("deadlock: simulation stalled");
+    // A cancelled run unwinds on a cache hit too, as it would after a replay.
+    MAYA_RETURN_IF_ERROR(CheckCancel(options_.cancel));
   }
 
-  // Successful replays feed the cross-trial cache.
-  if (options_.cache != nullptr) {
-    for (size_t c : to_simulate) {
-      auto entry = std::make_shared<ComponentSimResult>();
-      entry->workers = outcomes[c].metrics;
-      options_.cache->Insert(cache_key(c), std::move(entry));
-    }
-  }
-
-  // ---- Report (deterministic merge in global worker order) -------------------
+  // ---- Report ---------------------------------------------------------------
 
   SimReport report;
   report.stats = stats;
   report.workers.reserve(worker_count);
   for (size_t w = 0; w < worker_count; ++w) {
-    const auto [outcome, position] = outcome_for(w);
-    const WorkerSimMetrics& metrics = outcome->metrics[position];
+    const WorkerSimMetrics& metrics = result->workers[w];
     const WorkerTrace& trace = job_.workers[w];
     WorkerSimReport worker_report;
     worker_report.rank = trace.rank;

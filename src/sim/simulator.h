@@ -10,23 +10,14 @@
 // on-the-wire duration. Pipeline bubbles and compute/communication overlap
 // emerge from these mechanics rather than from explicit modeling.
 //
-// Execution strategy (all output-preserving — bit-identical per-worker
-// reports to the sequential whole-cluster replay, asserted in tests):
-//   1. Replica fold: workers whose annotated op sequences are identical
-//      (including communicator uids) move in lockstep — the §4.2/§7.4
-//      symmetry applied at simulation time — so one representative is
-//      replayed and its timeline replicated. Workers touching point-to-point
-//      communicators never fold (send/recv pairing would self-deadlock).
-//   2. Component partition: a union-find pass over collective membership
-//      splits the representatives into independent comm components, each
-//      replayed on its own event heap — concurrently on a borrowed pool.
-//   3. Component dedup: components with equal canonical fingerprints
-//      (ops + durations + comm topology modulo rank renumbering) replay
-//      once; siblings replicate the result positionally.
-//   4. Cross-trial cache: a borrowed SimulationCache memoizes per-component
-//      results keyed by canonical fingerprint + resolved SimOptions, so a
-//      repeated annotated component (service sweeps, repeated search
-//      configs) skips the event heap entirely.
+// Execution: every worker replays on one event heap. Twin workers are folded
+// once, at collation (§4.2), so the simulator replays what remains; a folded
+// worker joins each collective once for all of the ranks it represents
+// (`JobTrace::folded_ranks`). A borrowed SimulationCache memoizes the
+// per-worker results of a whole replay across Predict calls, search trials
+// and trace_predicts, keyed by the job's canonical fingerprint (ops,
+// durations and communicator topology, uids renumbered by first use) plus
+// the resolved SimOptions, so a repeated annotated job skips the event heap.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -38,17 +29,15 @@
 #include "src/common/cancellation.h"
 #include "src/common/sharded_cache.h"
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/hw/cluster_spec.h"
 #include "src/sim/sim_report.h"
 #include "src/trace/collator.h"
 
 namespace maya {
 
-// Per-worker dynamic outcome of one simulated component, positional in the
-// component's ascending worker order — the unit the simulation cache stores
-// and replica dedup replicates. Identity (rank, folded multiplicity, peak
-// memory) is deliberately absent: it comes from each replica's own trace.
+// Per-worker dynamic outcome of a replay, in JobTrace::workers order — what
+// the simulation cache stores. Identity (rank, folded multiplicity, peak
+// memory) is deliberately absent: it comes from each worker's own trace.
 struct WorkerSimMetrics {
   double finish_us = 0.0;
   double host_busy_us = 0.0;
@@ -60,14 +49,14 @@ struct WorkerSimMetrics {
   bool operator==(const WorkerSimMetrics&) const = default;
 };
 
-struct ComponentSimResult {
+struct SimCacheEntry {
   std::vector<WorkerSimMetrics> workers;
 };
 
-// Cross-trial component memoization, shared by concurrent Simulator runs
-// (search trials, service workers). Keyed by the canonical component
-// fingerprint mixed with the resolved SimOptions; values are immutable.
-using SimulationCache = ShardedCache<uint64_t, std::shared_ptr<const ComponentSimResult>>;
+// Cross-trial replay memoization, shared by concurrent Simulator runs (search
+// trials, service workers). Keyed by the canonical job fingerprint mixed with
+// the resolved SimOptions; values are immutable.
+using SimulationCache = ShardedCache<uint64_t, std::shared_ptr<const SimCacheEntry>>;
 
 struct SimOptions {
   // Duration multiplier for compute kernels that start while a collective is
@@ -78,25 +67,11 @@ struct SimOptions {
   // enqueue and its earliest start. Unset selects the GPU spec value;
   // negative values are rejected at construction.
   std::optional<double> dispatch_latency_us;
-  // Partition the replay into independent comm components, each on its own
-  // event heap. Off replays the whole cluster through one heap (the
-  // sequential reference the bit-identity tests compare against).
-  bool partition_components = true;
-  // Fold lockstep replica workers and dedup identical components.
-  bool deduplicate_replicas = true;
-  // Borrowed pool: independent components fan out when more than one needs
-  // replay. Null replays components inline on the calling thread.
-  ThreadPool* pool = nullptr;
-  // Adaptive small-N fallback: the pool only engages when at least this
-  // many components need replay — below that the fan-out overhead exceeds
-  // the replay cost (measured ≈1.0x at world_size 8 in BENCH_simulation).
-  // Results are bit-identical either way; 1 forces the parallel arm.
-  size_t min_parallel_components = 4;
-  // Borrowed cross-trial component cache; null disables memoization.
+  // Borrowed cross-trial replay cache; null disables memoization.
   SimulationCache* cache = nullptr;
-  // Cooperative-cancellation checkpoints between component replays (and
-  // before the final cache publish, so a cancelled run never feeds the
-  // cross-trial cache). Null = not cancellable.
+  // Cooperative-cancellation checkpoints before the replay and before the
+  // cache publish, so a cancelled run never feeds the cross-trial cache.
+  // Null = not cancellable.
   const CancelToken* cancel = nullptr;
 };
 

@@ -84,10 +84,9 @@ struct TraceOp {
   // Hashable signature over exactly the fields the event-driven simulator
   // reads from an annotated op: type, stream, host delay and annotated
   // duration (bit patterns), event identity, and collective identity. The
-  // caller supplies `comm_token` for collective ops — the raw communicator
-  // uid when fingerprinting a worker within one job, or a canonical local
-  // index when fingerprinting a comm component modulo rank renumbering
-  // (§4.3 replica dedup); ignored for every other op type.
+  // caller supplies `comm_token` for collective ops — the simulator passes
+  // the communicator's first-use index, so the sim-cache fingerprint is
+  // independent of uid numbering; ignored for every other op type.
   uint64_t AnnotatedSignature(uint64_t comm_token = 0) const;
 
   // Exact (bit-level for doubles) equality over every recorded field; the

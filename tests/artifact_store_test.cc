@@ -276,8 +276,8 @@ TEST_F(ArtifactStoreTest, BundleSaveLoadWarmsCaches) {
 }
 
 TEST_F(ArtifactStoreTest, SimCachePersistsAndReplaysBitIdentical) {
-  // A warm-started server replays repeated components from the persisted
-  // stage-4 cache with the saving process's exact timelines.
+  // A warm-started server answers repeated jobs from the persisted stage-4
+  // cache with the saving process's exact timelines.
   const std::string dir = TempBundleDir("bundle_sim_cache");
   MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
   ModelConfig model;
@@ -315,7 +315,7 @@ TEST_F(ArtifactStoreTest, SimCachePersistsAndReplaysBitIdentical) {
   const Result<PredictionReport> replayed = warm.Predict(request);
   ASSERT_TRUE(replayed.ok());
   EXPECT_GT(replayed->simulation.cache_hits, 0u);
-  EXPECT_EQ(replayed->simulation.simulated_components, 0u);
+  EXPECT_EQ(replayed->simulation.cache_misses, 0u);
   EXPECT_EQ(replayed->iteration_time_us, cold->iteration_time_us);
   EXPECT_EQ(replayed->mfu, cold->mfu);
 }

@@ -355,12 +355,22 @@ TEST(JsonTest, IntegerConversionsRefuseOutOfRange) {
   EXPECT_FALSE(ToInt(parse("9223372036854775808")).ok());
   EXPECT_FALSE(ToInt(parse("1e19")).ok());
   EXPECT_FALSE(ToInt(parse("-1e19")).ok());
-  EXPECT_EQ(*ToInt(parse("-2.5")), -3);
   EXPECT_FALSE(ToUint(parse("-1")).ok());
   EXPECT_FALSE(ToUint(parse("18446744073709551616")).ok());
   EXPECT_FALSE(ToUint(parse("1e999")).ok());
-  EXPECT_EQ(*ToUint(parse("2.5")), 3u);
   EXPECT_EQ(*ToUint(parse("-0")), 0u);
+  // A non-integral number is refused, never rounded; integral values written
+  // as doubles still convert.
+  for (const char* fraction : {"1.5", "-0.5", "-2.5", "2.5"}) {
+    EXPECT_EQ(ToInt(parse(fraction)).status().code(), StatusCode::kInvalidArgument) << fraction;
+  }
+  for (const char* fraction : {"1.5", "2.5"}) {
+    EXPECT_EQ(ToUint(parse(fraction)).status().code(), StatusCode::kInvalidArgument) << fraction;
+  }
+  EXPECT_EQ(*ToInt(parse("2.0")), 2);
+  EXPECT_EQ(*ToInt(parse("1e3")), 1000);
+  EXPECT_EQ(*ToUint(parse("2.0")), 2u);
+  EXPECT_EQ(*ToUint(parse("1e3")), 1000u);
   EXPECT_EQ(ToInt(parse("\"7\"")).status().code(), StatusCode::kInvalidArgument);
 }
 

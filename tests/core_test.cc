@@ -463,34 +463,6 @@ void ExpectBitIdenticalPredictions(const PredictionReport& a, const PredictionRe
   }
 }
 
-TEST_F(PipelineTest, PartitionedSimulationBitIdenticalToSequential) {
-  // Stage-4 tentpole invariant: the component-partitioned, replica-deduped
-  // replay equals the sequential whole-cluster replay per worker, with and
-  // without collation-level worker dedup.
-  MayaPipelineOptions sequential_options;
-  sequential_options.partition_simulation = false;
-  sequential_options.enable_sim_cache = false;
-  MayaPipeline sequential(*cluster_, bank_->kernel.get(), bank_->collective.get(),
-                          sequential_options);
-  MayaPipelineOptions partitioned_options;
-  ASSERT_TRUE(partitioned_options.partition_simulation);
-  MayaPipeline partitioned(*cluster_, bank_->kernel.get(), bank_->collective.get(),
-                           partitioned_options);
-  for (bool deduplicate : {true, false}) {
-    PredictionRequest request{TinyGpt(), BaseConfig()};
-    request.deduplicate_workers = deduplicate;
-    const Result<PredictionReport> a = partitioned.Predict(request);
-    const Result<PredictionReport> b = sequential.Predict(request);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectBitIdenticalPredictions(*a, *b);
-    EXPECT_GT(a->simulation.workers, 0u);
-    EXPECT_GT(a->simulation.components, 0u);
-    // Sequential replay reports a single whole-cluster component.
-    EXPECT_EQ(b->simulation.components, 1u);
-  }
-}
-
 TEST_F(PipelineTest, SimCacheOnVsOffBitIdentical) {
   MayaPipelineOptions cached_options;
   ASSERT_TRUE(cached_options.enable_sim_cache);
@@ -505,11 +477,11 @@ TEST_F(PipelineTest, SimCacheOnVsOffBitIdentical) {
   EXPECT_EQ(cold->simulation.cache_hits, 0u);
   EXPECT_GT(cold->simulation.cache_misses, 0u);
   // The repeated config re-emulates (trace cache off) but annotates to the
-  // same durations, so every component replays from the sim cache.
+  // same durations, so its replay comes from the sim cache.
   const Result<PredictionReport> warm = cached.Predict(request);
   ASSERT_TRUE(warm.ok());
   EXPECT_GT(warm->simulation.cache_hits, 0u);
-  EXPECT_EQ(warm->simulation.simulated_components, 0u);
+  EXPECT_EQ(warm->simulation.cache_misses, 0u);
   const Result<PredictionReport> fresh = uncached.Predict(request);
   ASSERT_TRUE(fresh.ok());
   ExpectBitIdenticalPredictions(*cold, *warm);
@@ -519,13 +491,12 @@ TEST_F(PipelineTest, SimCacheOnVsOffBitIdentical) {
 }
 
 TEST_F(PipelineTest, ParallelSimulationSharedContextBitIdentical) {
-  // The shared context's pool now also drives stage-4 component replays; a
-  // dedup-off prediction (every GPU simulated) must stay bit-identical.
+  // A dedup-off prediction (every GPU simulated) on a pipeline whose stages
+  // share a context's pool must stay bit-identical to a sequential one.
   MayaPipelineOptions shared_options;
   shared_options.context = ExecutionContext::Create(4);
   MayaPipeline shared(*cluster_, bank_->kernel.get(), bank_->collective.get(), shared_options);
   MayaPipelineOptions sequential_options;
-  sequential_options.partition_simulation = false;
   sequential_options.enable_sim_cache = false;
   MayaPipeline sequential(*cluster_, bank_->kernel.get(), bank_->collective.get(),
                           sequential_options);

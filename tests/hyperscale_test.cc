@@ -297,7 +297,6 @@ TEST_F(HyperscaleTest, VirtualFoldsBitIdenticalAcrossCacheAndParallelModes) {
   MayaPipelineOptions uncached;
   uncached.enable_estimate_cache = false;
   uncached.enable_sim_cache = false;
-  uncached.partition_simulation = false;
   ExpectSameOutcome(
       reference, PredictOrDie(MakePipeline(uncached), TinyGpt(), MegatronConfig(),
                               /*virtual_folds=*/true));
@@ -305,7 +304,6 @@ TEST_F(HyperscaleTest, VirtualFoldsBitIdenticalAcrossCacheAndParallelModes) {
   MayaPipelineOptions parallel;
   parallel.context = ExecutionContext::Create(4);
   parallel.min_parallel_emulation_ranks = 1;
-  parallel.min_parallel_simulation_components = 1;
   parallel.parallel_estimation_threshold = 1;
   ExpectSameOutcome(
       reference, PredictOrDie(MakePipeline(parallel), TinyGpt(), MegatronConfig(),

@@ -273,7 +273,7 @@ TEST_F(SearchDriverTest, FindsValidConfigAndTracksStatus) {
 
 TEST_F(SearchDriverTest, SimCacheSharedAcrossSearches) {
   // Stage-4 analogue of TraceCacheReusedAcrossSearches: a repeated search on
-  // one pipeline replays repeated annotated components from the sim cache,
+  // one pipeline serves repeated annotated jobs from the sim cache,
   // bit-identically.
   MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
   const ConfigSpace space({1, 2}, {1, 2}, {1, 2}, {1}, {false, true}, {false}, {false}, 32);
@@ -287,7 +287,7 @@ TEST_F(SearchDriverTest, SimCacheSharedAcrossSearches) {
 
   const SearchOutcome second = *RunSearch(pipeline, TinyGpt(), space, search);
   EXPECT_GT(second.simulation_totals.cache_hits, 0u);
-  EXPECT_EQ(second.simulation_totals.simulated_components, 0u);
+  EXPECT_EQ(second.simulation_totals.cache_misses, 0u);
   EXPECT_EQ(second.best_mfu, first.best_mfu);
   EXPECT_EQ(second.best_iteration_us, first.best_iteration_us);
 }

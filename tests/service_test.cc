@@ -840,10 +840,10 @@ TEST_F(ServiceTest, BatchPredictSimCacheOnVsOffBitIdentical) {
     EXPECT_EQ(a.batch[i].peak_memory_bytes, b.batch[i].peak_memory_bytes) << "item " << i;
     EXPECT_EQ(b.batch[i].simulation.cache_hits, 0u);
   }
-  // Item 2 repeats item 1's config: its components all replay from cache.
+  // Item 2 repeats item 1's config: its replay comes from the cache.
   EXPECT_EQ(a.batch[0].simulation.cache_hits, 0u);
   EXPECT_GT(a.batch[1].simulation.cache_hits, 0u);
-  EXPECT_EQ(a.batch[1].simulation.simulated_components, 0u);
+  EXPECT_EQ(a.batch[1].simulation.cache_misses, 0u);
 }
 
 TEST_F(ServiceTest, WhatIfOomReportsVerdict) {
@@ -1817,6 +1817,39 @@ TEST_F(ServiceTest, RequestIdsRoundTripAll64Bits) {
     Result<ServiceResponse> round = ParseServiceResponse(answer);
     ASSERT_TRUE(round.ok()) << round.status().ToString();
     EXPECT_EQ(round->id, id);
+  }
+  engine->Shutdown();
+}
+
+TEST_F(ServiceTest, NonIntegralNumbersAreInvalidRequests) {
+  // An integer field that arrives as a non-integral number is refused, never
+  // rounded: a rounded id names a request the client never sent, and a
+  // rounded cancel target could cancel one it never named.
+  auto engine = MakeEngine();
+  InProcessTransport transport(engine.get());
+  const std::string predict = std::regex_replace(
+      SerializeServiceRequest(PredictRequest(5, BaseConfig())),
+      std::regex(R"("tensor_parallel":[0-9]+)"), R"("tensor_parallel":2.5)");
+  ASSERT_NE(predict.find(R"("tensor_parallel":2.5)"), std::string::npos) << predict;
+  struct Case {
+    std::string line;
+    uint64_t id;  // echoed id: 0 when the id itself is refused
+    const char* reason;
+  };
+  const Case cases[] = {
+      {R"({"id":1.5,"kind":"stats"})", 0, "request id must be a non-negative 64-bit integer"},
+      {R"({"id":7,"kind":"cancel","target_id":1.5})", 7, "expected an integral JSON number"},
+      {predict, 5, "tensor_parallel: expected an integral JSON number"},
+  };
+  for (const Case& test_case : cases) {
+    Result<std::string> answer = transport.RoundTrip(test_case.line);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    Result<ServiceResponse> response = ParseServiceResponse(*answer);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->ok) << test_case.line;
+    EXPECT_EQ(response->error_code, kErrInvalidRequest) << *answer;
+    EXPECT_EQ(response->id, test_case.id) << *answer;
+    EXPECT_NE(response->error.find(test_case.reason), std::string::npos) << *answer;
   }
   engine->Shutdown();
 }

@@ -1,12 +1,13 @@
 // Discrete-event simulator tests (Appendix A semantics): host dispatch,
 // stream serialization, CUDA-event waitmaps with versioning, collective
-// rendezvous, folded-worker lockstep, overlap accounting, contention and
-// deadlock detection.
+// rendezvous, folded-worker lockstep, overlap accounting, contention,
+// deadlock detection and the cross-trial sim cache.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <tuple>
 
+#include "src/common/strings.h"
 #include "src/sim/simulator.h"
 
 namespace maya {
@@ -124,17 +125,8 @@ SimOptions NoLatency() {
   return options;
 }
 
-// The sequential whole-cluster reference: one event heap, no fold, no dedup.
-SimOptions Sequential() {
-  SimOptions options = NoLatency();
-  options.partition_components = false;
-  options.deduplicate_replicas = false;
-  return options;
-}
-
-// Every per-worker field and every total must be EXPECT_EQ (not NEAR): the
-// component-partitioned/deduped/cached replay is bit-identical to the
-// sequential whole-cluster replay by construction.
+// Every per-worker field and every total must be EXPECT_EQ (not NEAR): a
+// sim-cache hit is bit-identical to a fresh replay by construction.
 void ExpectSameReport(const SimReport& expected, const SimReport& actual) {
   EXPECT_EQ(expected.total_time_us, actual.total_time_us);
   EXPECT_EQ(expected.comm_time_us, actual.comm_time_us);
@@ -423,92 +415,34 @@ TEST(SimulatorTest, TwoStagePipelineShowsBubble) {
   EXPECT_DOUBLE_EQ(report->total_time_us, 43.0);
 }
 
-// ---- Component partitioning / replica dedup / sim cache --------------------------
+// ---- One event heap / sim cache ----------------------------------------------------
 
-TEST(SimulatorTest, PartitionedComponentsMatchSequential) {
+TEST(SimulatorTest, DisjointCommIslandsReplayOnOneHeap) {
+  // Islands that share no communicator still replay on the one heap, each at
+  // its own pace: {0,1} releases at max(6, 21) + 7, {2,3} at max(10, 32) + 3.
   JobTrace job = TwoIslandJob();
-  Result<SimReport> sequential = Simulator(job, H100Cluster(8), Sequential()).Run();
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-
-  SimOptions partitioned = NoLatency();
-  partitioned.deduplicate_replicas = false;  // isolate the partitioning lever
-  Result<SimReport> report = Simulator(job, H100Cluster(8), partitioned).Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->stats.components, 2u);
-  EXPECT_EQ(report->stats.simulated_components, 2u);
-  EXPECT_EQ(report->stats.folded_workers, 0u);
-  ExpectSameReport(*sequential, *report);
-}
-
-TEST(SimulatorTest, ParallelComponentReplayMatchesSequential) {
-  JobTrace job = TwoIslandJob();
-  Result<SimReport> sequential = Simulator(job, H100Cluster(8), Sequential()).Run();
-  ASSERT_TRUE(sequential.ok());
-
-  ThreadPool pool(4);
-  SimOptions parallel = NoLatency();
-  parallel.deduplicate_replicas = false;
-  parallel.pool = &pool;
-  parallel.min_parallel_components = 1;  // force the parallel arm below the adaptive floor
-  Result<SimReport> report = Simulator(job, H100Cluster(8), parallel).Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->stats.components, 2u);
-  ExpectSameReport(*sequential, *report);
-}
-
-TEST(SimulatorTest, LockstepReplicasFoldOntoOneRepresentative) {
-  // Four identical workers sharing one all-reduce: the §7.4 symmetry at
-  // simulation time — one representative replays, three timelines replicate.
-  CommGroup group{9, 4, {0, 1, 2, 3}};
-  std::vector<WorkerTrace> workers;
-  for (int rank = 0; rank < 4; ++rank) {
-    workers.push_back(TraceBuilder(rank)
-                          .Kernel(1, 1.0, 10.0)
-                          .Collective(1, 0.0, 6.0, 9, 0, 4, rank)
-                          .Kernel(1, 0.0, 4.0)
-                          .Build());
-  }
-  JobTrace job = MakeJob(std::move(workers), {}, {group});
-  Result<SimReport> sequential = Simulator(job, H100Cluster(8), Sequential()).Run();
-  ASSERT_TRUE(sequential.ok());
-
   Result<SimReport> report = Simulator(job, H100Cluster(8), NoLatency()).Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->stats.workers, 4u);
-  EXPECT_EQ(report->stats.folded_workers, 3u);
   EXPECT_EQ(report->stats.components, 1u);
-  EXPECT_EQ(report->stats.simulated_components, 1u);
-  ExpectSameReport(*sequential, *report);
+  EXPECT_EQ(report->stats.cache_misses, 1u);
+  EXPECT_EQ(report->total_time_us, 35.0);
+  const double finish[] = {28.0, 28.0, 35.0, 35.0};
+  const double compute[] = {5.0, 20.0, 9.0, 31.0};
+  const double comm[] = {22.0, 7.0, 25.0, 3.0};
+  ASSERT_EQ(report->workers.size(), 4u);
+  for (size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(report->workers[w].finish_us, finish[w]) << "worker " << w;
+    EXPECT_EQ(report->workers[w].compute_busy_us, compute[w]) << "worker " << w;
+    EXPECT_EQ(report->workers[w].comm_busy_us, comm[w]) << "worker " << w;
+    EXPECT_EQ(report->workers[w].exposed_comm_us, comm[w]) << "worker " << w;
+  }
 }
 
-TEST(SimulatorTest, IdenticalComponentsReplayOnce) {
-  // Two isomorphic islands whose workers differ within each island (no
-  // worker-level fold) but match across islands modulo communicator
-  // renumbering: component-level replica dedup replays one island.
-  CommGroup left{100, 2, {0, 1}};
-  CommGroup right{200, 2, {2, 3}};
-  JobTrace job = MakeJob(
-      {TraceBuilder(0).Kernel(1, 1.0, 5.0).Collective(1, 0.0, 7.0, 100, 0, 2, 0).Build(),
-       TraceBuilder(1).Kernel(1, 1.0, 20.0).Collective(1, 0.0, 7.0, 100, 0, 2, 1).Build(),
-       TraceBuilder(2).Kernel(1, 1.0, 5.0).Collective(1, 0.0, 7.0, 200, 0, 2, 0).Build(),
-       TraceBuilder(3).Kernel(1, 1.0, 20.0).Collective(1, 0.0, 7.0, 200, 0, 2, 1).Build()},
-      {}, {left, right});
-  Result<SimReport> sequential = Simulator(job, H100Cluster(8), Sequential()).Run();
-  ASSERT_TRUE(sequential.ok());
-
-  Result<SimReport> report = Simulator(job, H100Cluster(8), NoLatency()).Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->stats.folded_workers, 0u);
-  EXPECT_EQ(report->stats.components, 2u);
-  EXPECT_EQ(report->stats.replicated_components, 1u);
-  EXPECT_EQ(report->stats.simulated_components, 1u);
-  ExpectSameReport(*sequential, *report);
-}
-
-TEST(SimulatorTest, P2pEndpointsNeverFold) {
+TEST(SimulatorTest, P2pRingReplaysEveryEndpoint) {
   // Both ring endpoints record identical op sequences (send then recv on the
-  // same link): folding them would collapse the rendezvous. The p2p guard
-  // keeps them distinct and the replay bit-identical.
+  // same link); each is replayed, so every rendezvous has its two joiners:
+  // the sends release at 1 + 5, the recvs at 6 + 5.
   CommGroup ring{7, 2, {0, 1}};
   JobTrace job = MakeJob(
       {TraceBuilder(0)
@@ -520,19 +454,20 @@ TEST(SimulatorTest, P2pEndpointsNeverFold) {
            .Collective(1, 0.0, 5.0, 7, 1, 2, 1, CollectiveKind::kRecv)
            .Build()},
       {}, {ring});
-  Result<SimReport> sequential = Simulator(job, H100Cluster(8), Sequential()).Run();
-  ASSERT_TRUE(sequential.ok());
-
   Result<SimReport> report = Simulator(job, H100Cluster(8), NoLatency()).Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->stats.folded_workers, 0u);
-  ExpectSameReport(*sequential, *report);
+  EXPECT_EQ(report->total_time_us, 11.0);
+  ASSERT_EQ(report->workers.size(), 2u);
+  for (const WorkerSimReport& worker : report->workers) {
+    EXPECT_EQ(worker.finish_us, 11.0);
+    EXPECT_EQ(worker.comm_busy_us, 10.0);
+  }
 }
 
 TEST(SimulatorTest, SimCacheReplaysBitIdentical) {
   JobTrace job = TwoIslandJob();
-  Result<SimReport> sequential = Simulator(job, H100Cluster(8), Sequential()).Run();
-  ASSERT_TRUE(sequential.ok());
+  Result<SimReport> uncached = Simulator(job, H100Cluster(8), NoLatency()).Run();
+  ASSERT_TRUE(uncached.ok());
 
   SimulationCache cache;
   SimOptions cached = NoLatency();
@@ -540,14 +475,14 @@ TEST(SimulatorTest, SimCacheReplaysBitIdentical) {
   Result<SimReport> cold = Simulator(job, H100Cluster(8), cached).Run();
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_EQ(cold->stats.cache_hits, 0u);
-  EXPECT_EQ(cold->stats.cache_misses, 2u);
-  ExpectSameReport(*sequential, *cold);
+  EXPECT_EQ(cold->stats.cache_misses, 1u);
+  ExpectSameReport(*uncached, *cold);
 
   Result<SimReport> warm = Simulator(job, H100Cluster(8), cached).Run();
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(warm->stats.cache_hits, 2u);
-  EXPECT_EQ(warm->stats.simulated_components, 0u);
-  ExpectSameReport(*sequential, *warm);
+  EXPECT_EQ(warm->stats.cache_hits, 1u);
+  EXPECT_EQ(warm->stats.cache_misses, 0u);
+  ExpectSameReport(*uncached, *warm);
 }
 
 TEST(SimulatorTest, SimCacheKeyedBySimOptions) {
@@ -568,10 +503,47 @@ TEST(SimulatorTest, SimCacheKeyedBySimOptions) {
   EXPECT_GT(slow->total_time_us, fast->total_time_us);
 }
 
-TEST(SimulatorTest, StuckWorkerDiagnosticUnderBothModes) {
+TEST(SimulatorTest, SimCacheKeyIsPinned) {
+  // Bundles persist sim-cache entries under this key (sim_cache.json), so a
+  // fingerprint change would orphan every persisted entry. The job exercises
+  // first-use comm renumbering (rank 1 uses comm 200 before comm 100) and a
+  // folded worker (rank 1 stands for ranks 1 and 3, joining comm 100 once).
+  CommGroup all{100, 4, {0, 1, 2, 3}};
+  CommGroup pair{200, 2, {1, 2}};
+  JobTrace job = MakeJob(
+      {TraceBuilder(0)
+           .Kernel(1, 1.0, 5.0)
+           .Collective(1, 0.0, 7.0, 100, 0, 4, 0)
+           .Record(1, 0.0, 1, 1)
+           .Build(),
+       TraceBuilder(1)
+           .Kernel(1, 1.0, 9.0)
+           .Collective(1, 0.0, 3.0, 200, 0, 2, 0)
+           .Collective(1, 0.0, 7.0, 100, 0, 4, 1)
+           .Build(),
+       TraceBuilder(2)
+           .Collective(2, 0.5, 3.0, 200, 0, 2, 1)
+           .Kernel(1, 1.0, 4.0)
+           .Collective(1, 0.0, 7.0, 100, 0, 4, 2)
+           .Build()},
+      {{0}, {1, 3}, {2}}, {all, pair});
+  job.world_size = 4;
+  SimulationCache cache;
+  SimOptions options = NoLatency();
+  options.cache = &cache;
+  Result<SimReport> report = Simulator(job, H100Cluster(8), options).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // comm 200 releases at 10 + 3; comm 100's last joiner (rank 1) arrives at 13.
+  EXPECT_EQ(report->total_time_us, 20.0);
+  const auto entries = cache.Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(entries[0].first)),
+            "30f6eeac9b606bf8");
+}
+
+TEST(SimulatorTest, StuckWorkerDiagnostic) {
   // Mismatched collective (rank 1 never joins): the deadlock diagnostic must
-  // fire — and name the stuck rank and communicator — under the sequential
-  // AND the component-partitioned/deduped execution.
+  // fire and name the stuck rank and the blocking host call.
   CommGroup group{4, 2, {0, 1}};
   JobTrace job = MakeJob(
       {TraceBuilder(0)
@@ -580,25 +552,30 @@ TEST(SimulatorTest, StuckWorkerDiagnosticUnderBothModes) {
            .Build(),
        TraceBuilder(1).Kernel(1, 0.0, 5.0).Build()},
       {}, {group});
-  for (const SimOptions& options : {Sequential(), NoLatency()}) {
-    Result<SimReport> report = Simulator(job, H100Cluster(8), options).Run();
-    ASSERT_FALSE(report.ok());
-    EXPECT_NE(report.status().message().find("deadlock"), std::string::npos);
-    EXPECT_NE(report.status().message().find("rank 0"), std::string::npos);
-    EXPECT_NE(report.status().message().find("cudaDeviceSynchronize"), std::string::npos);
-  }
+  Result<SimReport> report = Simulator(job, H100Cluster(8), NoLatency()).Run();
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("deadlock"), std::string::npos);
+  EXPECT_NE(report.status().message().find("rank 0"), std::string::npos);
+  EXPECT_NE(report.status().message().find("cudaDeviceSynchronize"), std::string::npos);
   // Without the host block the same mismatch drains the event queue with the
-  // rendezvous still pending — the collective-waits diagnostic, again under
-  // both modes.
+  // rendezvous still pending — the collective-waits diagnostic.
   JobTrace async_job = MakeJob(
       {TraceBuilder(0).Collective(1, 0.0, 5.0, 4, 0, 2, 0).Build(),
        TraceBuilder(1).Kernel(1, 0.0, 5.0).Build()},
       {}, {group});
-  for (const SimOptions& options : {Sequential(), NoLatency()}) {
-    Result<SimReport> report = Simulator(async_job, H100Cluster(8), options).Run();
-    ASSERT_FALSE(report.ok());
-    EXPECT_NE(report.status().message().find("collectives left waiting"), std::string::npos);
-  }
+  Result<SimReport> async_report = Simulator(async_job, H100Cluster(8), NoLatency()).Run();
+  ASSERT_FALSE(async_report.ok());
+  EXPECT_NE(async_report.status().message().find("collectives left waiting"), std::string::npos);
+  // A stream waiting on an event that is never recorded, with no host sync:
+  // the host finishes, and the stalled-stream diagnostic names the stream.
+  JobTrace stalled_job =
+      MakeJob({TraceBuilder(0).WaitEvent(2, 0.0, 5, 1).Kernel(2, 0.0, 3.0).Build()});
+  Result<SimReport> stalled = Simulator(stalled_job, H100Cluster(8), NoLatency()).Run();
+  ASSERT_FALSE(stalled.ok());
+  EXPECT_NE(stalled.status().message().find(
+                "rank 0 stream 2 stalled (waiting on event) with 2 queued ops"),
+            std::string::npos)
+      << stalled.status().ToString();
 }
 
 TEST(SimulatorTest, NegativeDispatchLatencyRejectedAtConstruction) {

@@ -38,7 +38,7 @@
 // byte-identical to stdio serving — the transports share codec and engine.
 //
 // --no_sim_cache disables the cross-trial simulation cache (stage 4 replays
-// every comm component fresh; output-preserving either way).
+// every job fresh; output-preserving either way).
 //
 // --trace_out=DIR enables span tracing: every request records queue-wait and
 // per-stage spans, "dump_trace" requests write Chrome trace-event JSON files
@@ -276,8 +276,8 @@ int main(int argc, char** argv) {
   options.worker_threads = flags.workers;
   options.max_queue_weight = flags.queue_weight;
   options.weights.search = flags.search_weight;
-  // One shared pool drives stage 1 (emulation), stage 3 (estimation) and the
-  // stage-4 component replays of every deployment's pipeline.
+  // One shared pool drives stage 1 (emulation), stage 2 (the collator's
+  // fingerprint pass) and stage 3 (estimation) of every deployment's pipeline.
   options.pipeline.context = ExecutionContext::Create(flags.execution_threads);
   options.pipeline.enable_sim_cache = flags.sim_cache;
   options.trace_dir = flags.trace_out;
