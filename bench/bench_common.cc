@@ -126,7 +126,6 @@ PredictionStudy RunPredictionStudy(const Setup& setup, EstimatorCache& cache,
     PredictionRequest request;
     request.model = setup.model;
     request.config = entry.config;
-    request.virtual_folds = true;
     Result<PredictionReport> prediction = pipeline.Predict(request);
     CHECK(prediction.ok()) << prediction.status().ToString();
     CHECK(!prediction->oom) << "Maya predicted OOM for a config that ran: "

@@ -41,11 +41,10 @@ int main() {
     config.distributed_optimizer = true;
     CHECK(config.Validate(model, cluster).ok()) << config.Summary();
 
+    // The default virtual folds: only the 8 analytically-unique workers
+    // exist at any point (bit-identical to full emulation, which would run
+    // every rank).
     PredictionRequest request{model, config};
-    // Virtual folded ranks: only the 8 analytically-unique workers exist at
-    // any point (bit-identical to full emulation, which would run every
-    // rank).
-    request.virtual_folds = true;
     Result<PredictionReport> report = pipeline.Predict(request);
     CHECK(report.ok()) << report.status().ToString();
     CHECK(!report->oom) << report->oom_detail;

@@ -40,7 +40,6 @@ int main() {
     CHECK(config.Validate(model, cluster).ok());
 
     PredictionRequest request{model, config};
-    request.virtual_folds = true;
     Result<PredictionReport> report = pipeline.Predict(request);
     CHECK(report.ok()) << report.status().ToString();
     CHECK(!report->oom) << report->oom_detail;

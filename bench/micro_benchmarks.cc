@@ -751,11 +751,13 @@ void RunHyperscaleStudy(bool tiny) {
     CHECK(verify_config.Validate(model, cluster).ok()) << verify_config.Summary();
     MayaPipeline pipeline(cluster, fixture.bank.kernel.get(), &astra_estimator);
     PredictionRequest full{model, verify_config};
+    full.virtual_folds = false;  // the reference: every rank emulated
     PredictionRequest virtualized = full;
     virtualized.virtual_folds = true;
     Result<PredictionReport> expected = pipeline.Predict(full);
     CHECK(expected.ok()) << expected.status().ToString();
     CHECK(!expected->oom) << expected->oom_detail;
+    CHECK_EQ(expected->full_workers_emulated, verify_world);
     Result<PredictionReport> actual = pipeline.Predict(virtualized);
     CHECK(actual.ok()) << actual.status().ToString();
     CheckBitIdenticalPredictions(*expected, *actual, "virtual folds");

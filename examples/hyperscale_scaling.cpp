@@ -37,7 +37,6 @@ int main() {
     request.config.sequence_parallel = true;
     request.config.activation_recomputation = true;
     request.config.distributed_optimizer = true;
-    request.virtual_folds = true;
 
     const Result<PredictionReport> report = maya.Predict(request);
     if (!report.ok() || report->oom) {

@@ -57,15 +57,24 @@ struct LocalCollectiveKeyHash {
   }
 };
 
+// The launch mode of stage 1: virtual folds when the request asks for them,
+// except under dedup-off (Fig. 14's arm emulates and simulates every rank)
+// and oracle mode (Table 3's per-instance noise is keyed by communicator
+// uid, which depends on the launch mode), which run full emulation.
+bool UsesVirtualFolds(const PredictionRequest& request) {
+  return (request.virtual_folds || request.selective_launch) && request.deduplicate_workers &&
+         request.oracle == nullptr;
+}
+
 // Identity of stages 1+2 for one request on a fixed cluster: the training
 // configuration, the pipeline knobs that shape the trace, and every
 // ModelConfig field the engines read (names alone are not identity — callers
 // mutate preset configs).
-std::string TraceCacheKey(const PredictionRequest& request) {
+std::string TraceCacheKey(const PredictionRequest& request, bool virtual_folds) {
   const ModelConfig& model = request.model;
   std::string key = request.config.CacheKey();
   key += request.deduplicate_workers ? "|d1" : "|d0";
-  key += request.virtual_folds || request.selective_launch ? "v1" : "v0";
+  key += virtual_folds ? "v1" : "v0";
   key += StrFormat("|%d|%lld|%lld|%lld|%lld|%lld|%lld|%lld|%lld|%lld",
                    static_cast<int>(model.family), static_cast<long long>(model.num_layers),
                    static_cast<long long>(model.hidden_size),
@@ -301,11 +310,12 @@ Result<PredictionReport> MayaPipeline::Predict(const PredictionRequest& request)
   // faulted request leaves the pipeline's cross-trial state exactly as it
   // found it (chaos tests assert bit-identity of the surviving requests).
   FaultInjection& faults = FaultInjection::Instance();
+  const bool virtual_folds = UsesVirtualFolds(request);
 
   std::string trace_key;
   std::shared_ptr<const CollatedTrace> cached;
   if (options_.enable_trace_cache) {
-    trace_key = TraceCacheKey(request);
+    trace_key = TraceCacheKey(request, virtual_folds);
     if (std::optional<std::shared_ptr<const CollatedTrace>> hit =
             trace_cache_.Lookup(trace_key)) {
       cached = *std::move(hit);
@@ -334,7 +344,7 @@ Result<PredictionReport> MayaPipeline::Predict(const PredictionRequest& request)
     MAYA_RETURN_IF_ERROR(faults.MaybeFail("pipeline.emulate"));
     MAYA_RETURN_IF_ERROR(CheckCancel(request.cancel));
     LaunchOptions launch;
-    launch.virtual_folds = request.virtual_folds || request.selective_launch;
+    launch.virtual_folds = virtual_folds;
     launch.emulation_pool = stage_pool_;
     launch.min_parallel_ranks = options_.min_parallel_emulation_ranks;
     launch.cancel = request.cancel;

@@ -95,15 +95,17 @@ struct PredictionRequest {
 
   // Pipeline knobs.
   bool deduplicate_workers = true;   // dynamic worker dedup (§4.2)
-  // Hyperscale virtual folding (§7.4): emulate one representative per
-  // analytic rank-equivalence class (one rank per pipeline stage for
-  // Megatron, rank 0 for FSDP/DeepSpeed/DDP and vision) and carry twin
-  // membership as RankSet spans — no O(world) materialization anywhere in
-  // the pipeline. Off (the default) is full emulation, the reference path.
-  // Reports are bit-identical to full emulation under estimator-based
-  // annotation; oracle mode seeds per-instance noise by communicator uid,
-  // which depends on launch mode.
-  bool virtual_folds = false;
+  // Hyperscale virtual folding (§7.4), on by default: emulate one
+  // representative per analytic rank-equivalence class (one rank per
+  // pipeline stage for Megatron, rank 0 for FSDP/DeepSpeed/DDP and vision)
+  // and carry twin membership as RankSet spans — no O(world) materialization
+  // anywhere in the pipeline. Reports are bit-identical to full emulation.
+  // False selects full emulation, the reference path that runs every rank.
+  // Predict also falls back to full emulation when deduplicate_workers is
+  // false (Fig. 14's dedup-off arm emulates every rank) or an oracle is set
+  // (oracle noise is keyed by communicator uid, which depends on the launch
+  // mode).
+  bool virtual_folds = true;
   // Retired launch mode, kept as an alias: true selects virtual folds.
   bool selective_launch = false;
   // Oracle mode (Table 3): annotate with the profiled *actual* per-instance

@@ -33,9 +33,13 @@ struct LaunchOptions {
   // each trace with the full RankSet it stands for, and resolves
   // communicator membership in closed form. Megatron folds TP/DP twins per
   // pipeline stage; the FSDP and vision engines are data-parallel, so every
-  // rank folds onto rank 0. Off (the default) is full emulation, the
-  // reference path: every rank runs, and the collator folds twins by
-  // fingerprint (§4.2).
+  // rank folds onto rank 0. Off is full emulation, the reference path: every
+  // rank runs, and the collator folds twins by fingerprint (§4.2).
+  // MayaPipeline::Predict turns the fold on by default (see
+  // PredictionRequest::virtual_folds); this struct stays off by default
+  // because ground truth (bench::DeployOnGroundTruth, perfbench's reference
+  // data) calls EmulateJob with default options and keys its noise by
+  // communicator uid, which depends on the launch mode.
   bool virtual_folds = false;
   // Retired launch mode, kept as an alias: true selects virtual folds.
   bool selective_launch = false;

@@ -22,10 +22,11 @@ struct SearchOptions {
   bool enable_pruning = true;
   bool enable_cache = true;
   bool deduplicate_workers = true;
-  // Hyperscale virtual folding per trial (see PredictionRequest): emulate
-  // one representative per analytic rank class (§7.4) — the emulation-stage
-  // analogue of deduplicate_workers. Trial outcomes are bit-identical.
-  bool virtual_folds = false;
+  // Hyperscale virtual folding per trial (see PredictionRequest), on by
+  // default: emulate one representative per analytic rank class (§7.4) — the
+  // emulation-stage analogue of deduplicate_workers. Trial outcomes are
+  // bit-identical; false runs every trial under full emulation.
+  bool virtual_folds = true;
   // Trials evaluated concurrently (stateless searchers only; ask/tell
   // searchers are inherently sequential).
   int concurrency = 1;

@@ -1,5 +1,7 @@
 #include "src/service/protocol.h"
 
+#include <limits>
+
 #include "src/common/strings.h"
 #include "src/estimator/serialization.h"
 #include "src/trace/serialization.h"
@@ -62,14 +64,76 @@ Result<InterNodeFabric> InterNodeFabricFromName(const std::string& name) {
   return Status::InvalidArgument("unknown inter-node fabric '" + name + "'");
 }
 
-// Reads the launch-mode knob: `virtual_folds`, or its retired alias
-// `selective_launch`, which is parsed but never written. Either set to true
-// selects virtual folds.
+// ---- Field readers -------------------------------------------------------------
+//
+// Answers and requests are bytes off the network: a missing or mistyped key
+// is InvalidArgument naming the key, never a CHECK abort (JsonValue::at and
+// the As* accessors).
+
+// A failure reading the value of key `key`, with the key named.
+Status KeyError(const char* key, const Status& status) {
+  return Status::InvalidArgument(std::string("key '") + key + "': " + status.message());
+}
+
+// Reads required key `key` of `object` through `parse`: a To* accessor or a
+// nested record parser.
+template <typename Parse>
+auto ReadKey(const JsonValue& object, const char* key, Parse parse) -> decltype(parse(object)) {
+  MAYA_RETURN_IF_ERROR(RequireKeys(object, {key}));
+  auto value = parse(object.at(key));
+  if (!value.ok()) {
+    return KeyError(key, value.status());
+  }
+  return value;
+}
+
+// Optional key: `out` keeps its value when the key is absent.
+template <typename T, typename Parse>
+Status ReadOptionalKey(const JsonValue& object, const char* key, Parse parse, T& out) {
+  if (object.Has(key)) {
+    MAYA_ASSIGN_OR_RETURN(out, ReadKey(object, key, parse));
+  }
+  return Status::Ok();
+}
+
+// Required array key, each element read through `parse`.
+template <typename T, typename Parse>
+Status ReadArrayKey(const JsonValue& object, const char* key, Parse parse, std::vector<T>& out) {
+  MAYA_ASSIGN_OR_RETURN(const JsonArray* items, ReadKey(object, key, ToArray));
+  out.reserve(items->size());
+  for (const JsonValue& item : *items) {
+    auto value = parse(item);
+    if (!value.ok()) {
+      return KeyError(key, value.status());
+    }
+    out.push_back(*std::move(value));
+  }
+  return Status::Ok();
+}
+
+Result<int> ToInt32(const JsonValue& value) {
+  MAYA_ASSIGN_OR_RETURN(const int64_t wide, ToInt(value));
+  if (wide < std::numeric_limits<int>::min() || wide > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("integer out of range");
+  }
+  return static_cast<int>(wide);
+}
+
+// A double carried bit-exactly as a hex string (DoubleBits).
+Result<double> ToHexDouble(const JsonValue& value) {
+  MAYA_ASSIGN_OR_RETURN(const std::string hex, ToString(value));
+  return DoubleFromBits(hex);
+}
+
+// Reads the launch-mode knob: `virtual_folds`, else its retired alias
+// `selective_launch`, which is parsed but never written. The value present
+// is assigned (false asks for full emulation); with neither key the payload
+// keeps its default, virtual folds.
 Status ParseVirtualFolds(const JsonValue& root, bool& virtual_folds) {
   for (const char* key : {"virtual_folds", "selective_launch"}) {
     if (root.Has(key)) {
-      MAYA_ASSIGN_OR_RETURN(const bool enabled, ToBool(root.at(key)));
-      virtual_folds = virtual_folds || enabled;
+      MAYA_ASSIGN_OR_RETURN(virtual_folds, ReadKey(root, key, ToBool));
+      return Status::Ok();
     }
   }
   return Status::Ok();
@@ -139,14 +203,15 @@ void WriteEstimationStats(JsonWriter& w, const EstimationStats& stats) {
   w.EndObject();
 }
 
-EstimationStats ParseEstimationStats(const JsonValue& value) {
+Result<EstimationStats> ParseEstimationStats(const JsonValue& value) {
   EstimationStats stats;
-  stats.kernel_ops = value.at("kernel_ops").AsUint();
-  stats.unique_kernels = value.at("unique_kernels").AsUint();
-  stats.collective_ops = value.at("collective_ops").AsUint();
-  stats.unique_collectives = value.at("unique_collectives").AsUint();
-  stats.cache_hits = value.at("cache_hits").AsUint();
-  stats.cache_misses = value.at("cache_misses").AsUint();
+  MAYA_ASSIGN_OR_RETURN(stats.kernel_ops, ReadKey(value, "kernel_ops", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.unique_kernels, ReadKey(value, "unique_kernels", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.collective_ops, ReadKey(value, "collective_ops", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.unique_collectives,
+                        ReadKey(value, "unique_collectives", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.cache_hits, ReadKey(value, "cache_hits", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.cache_misses, ReadKey(value, "cache_misses", ToUint));
   return stats;
 }
 
@@ -160,12 +225,12 @@ void WriteSimulationStats(JsonWriter& w, const SimulationStats& stats) {
   w.EndObject();
 }
 
-SimulationStats ParseSimulationStats(const JsonValue& value) {
+Result<SimulationStats> ParseSimulationStats(const JsonValue& value) {
   SimulationStats stats;
-  stats.workers = value.at("workers").AsUint();
-  stats.components = value.at("components").AsUint();
-  stats.cache_hits = value.at("cache_hits").AsUint();
-  stats.cache_misses = value.at("cache_misses").AsUint();
+  MAYA_ASSIGN_OR_RETURN(stats.workers, ReadKey(value, "workers", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.components, ReadKey(value, "components", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.cache_hits, ReadKey(value, "cache_hits", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.cache_misses, ReadKey(value, "cache_misses", ToUint));
   return stats;
 }
 
@@ -178,12 +243,12 @@ void WriteStageTotals(JsonWriter& w, const StageTimings& totals) {
   w.EndObject();
 }
 
-StageTimings ParseStageTotals(const JsonValue& value) {
+Result<StageTimings> ParseStageTotals(const JsonValue& value) {
   StageTimings totals;
-  totals.emulation_ms = value.at("emulation").AsDouble();
-  totals.collation_ms = value.at("collation").AsDouble();
-  totals.estimation_ms = value.at("estimation").AsDouble();
-  totals.simulation_ms = value.at("simulation").AsDouble();
+  MAYA_ASSIGN_OR_RETURN(totals.emulation_ms, ReadKey(value, "emulation", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(totals.collation_ms, ReadKey(value, "collation", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(totals.estimation_ms, ReadKey(value, "estimation", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(totals.simulation_ms, ReadKey(value, "simulation", ToNumber));
   return totals;
 }
 
@@ -197,13 +262,13 @@ void WriteCacheStats(JsonWriter& w, const ShardedCacheStats& stats) {
   w.EndObject();
 }
 
-ShardedCacheStats ParseCacheStats(const JsonValue& value) {
+Result<ShardedCacheStats> ParseCacheStats(const JsonValue& value) {
   ShardedCacheStats stats;
-  stats.hits = value.at("hits").AsUint();
-  stats.misses = value.at("misses").AsUint();
-  stats.insertions = value.at("insertions").AsUint();
-  stats.evictions = value.at("evictions").AsUint();
-  stats.entries = value.at("entries").AsUint();
+  MAYA_ASSIGN_OR_RETURN(stats.hits, ReadKey(value, "hits", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.misses, ReadKey(value, "misses", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.insertions, ReadKey(value, "insertions", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.evictions, ReadKey(value, "evictions", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.entries, ReadKey(value, "entries", ToUint));
   return stats;
 }
 
@@ -216,12 +281,12 @@ void WriteLatencyPercentiles(JsonWriter& w, const LatencyPercentiles& p) {
   w.EndObject();
 }
 
-LatencyPercentiles ParseLatencyPercentiles(const JsonValue& value) {
+Result<LatencyPercentiles> ParseLatencyPercentiles(const JsonValue& value) {
   LatencyPercentiles p;
-  p.count = value.at("count").AsUint();
-  p.p50_us = value.at("p50_us").AsDouble();
-  p.p95_us = value.at("p95_us").AsDouble();
-  p.p99_us = value.at("p99_us").AsDouble();
+  MAYA_ASSIGN_OR_RETURN(p.count, ReadKey(value, "count", ToUint));
+  MAYA_ASSIGN_OR_RETURN(p.p50_us, ReadKey(value, "p50_us", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(p.p95_us, ReadKey(value, "p95_us", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(p.p99_us, ReadKey(value, "p99_us", ToNumber));
   return p;
 }
 
@@ -397,37 +462,135 @@ void WritePredictResultFields(JsonWriter& w, const PredictResult& result) {
   w.Field("trace_cache_hit", result.trace_cache_hit);
 }
 
+// The four per-stage wall times of a predict-like or search answer.
+Status ParseStageMs(const JsonValue& root, StageTimings& timings) {
+  MAYA_ASSIGN_OR_RETURN(timings.emulation_ms, ReadKey(root, "emulation_ms", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(timings.collation_ms, ReadKey(root, "collation_ms", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(timings.estimation_ms, ReadKey(root, "estimation_ms", ToNumber));
+  MAYA_ASSIGN_OR_RETURN(timings.simulation_ms, ReadKey(root, "simulation_ms", ToNumber));
+  return Status::Ok();
+}
+
 Result<PredictResult> ParsePredictResultFields(const JsonValue& root) {
-  MAYA_RETURN_IF_ERROR(RequireKeys(root, {"oom", "estimation"}));
   PredictResult result;
-  result.oom = root.at("oom").AsBool();
+  MAYA_ASSIGN_OR_RETURN(result.oom, ReadKey(root, "oom", ToBool));
   if (result.oom) {
-    result.oom_detail = root.at("oom_detail").AsString();
+    MAYA_ASSIGN_OR_RETURN(result.oom_detail, ReadKey(root, "oom_detail", ToString));
   } else {
-    Result<double> iteration = DoubleFromBits(root.at("iteration_time_us").AsString());
-    if (!iteration.ok()) {
-      return iteration.status();
-    }
-    result.iteration_time_us = *iteration;
-    Result<double> mfu = DoubleFromBits(root.at("mfu").AsString());
-    if (!mfu.ok()) {
-      return mfu.status();
-    }
-    result.mfu = *mfu;
-    result.peak_memory_bytes = root.at("peak_memory_bytes").AsUint();
+    MAYA_ASSIGN_OR_RETURN(result.iteration_time_us,
+                          ReadKey(root, "iteration_time_us", ToHexDouble));
+    MAYA_ASSIGN_OR_RETURN(result.mfu, ReadKey(root, "mfu", ToHexDouble));
+    MAYA_ASSIGN_OR_RETURN(result.peak_memory_bytes, ReadKey(root, "peak_memory_bytes", ToUint));
   }
-  result.timings.emulation_ms = root.at("emulation_ms").AsDouble();
-  result.timings.collation_ms = root.at("collation_ms").AsDouble();
-  result.timings.estimation_ms = root.at("estimation_ms").AsDouble();
-  result.timings.simulation_ms = root.at("simulation_ms").AsDouble();
-  result.estimation = ParseEstimationStats(root.at("estimation"));
-  if (root.Has("simulation")) {
-    result.simulation = ParseSimulationStats(root.at("simulation"));
-  }
-  if (root.Has("trace_cache_hit")) {
-    result.trace_cache_hit = root.at("trace_cache_hit").AsBool();
-  }
+  MAYA_RETURN_IF_ERROR(ParseStageMs(root, result.timings));
+  MAYA_ASSIGN_OR_RETURN(result.estimation, ReadKey(root, "estimation", ParseEstimationStats));
+  MAYA_RETURN_IF_ERROR(
+      ReadOptionalKey(root, "simulation", ParseSimulationStats, result.simulation));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "trace_cache_hit", ToBool, result.trace_cache_hit));
   return result;
+}
+
+Result<DeploymentStats> ParseDeploymentStats(const JsonValue& entry) {
+  DeploymentStats deployment;
+  MAYA_ASSIGN_OR_RETURN(deployment.name, ReadKey(entry, "name", ToString));
+  MAYA_ASSIGN_OR_RETURN(deployment.derived, ReadKey(entry, "derived", ToBool));
+  MAYA_ASSIGN_OR_RETURN(deployment.timed_requests, ReadKey(entry, "timed_requests", ToUint));
+  // Optional for compatibility with pre-governance servers.
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(entry, "cancelled", ToUint, deployment.cancelled));
+  MAYA_RETURN_IF_ERROR(
+      ReadOptionalKey(entry, "deadline_expired", ToUint, deployment.deadline_expired));
+  MAYA_ASSIGN_OR_RETURN(deployment.stage_totals,
+                        ReadKey(entry, "stage_totals_ms", ParseStageTotals));
+  MAYA_ASSIGN_OR_RETURN(deployment.kernel_cache, ReadKey(entry, "kernel_cache", ParseCacheStats));
+  MAYA_ASSIGN_OR_RETURN(deployment.collective_cache,
+                        ReadKey(entry, "collective_cache", ParseCacheStats));
+  MAYA_ASSIGN_OR_RETURN(deployment.trace_cache, ReadKey(entry, "trace_cache", ParseCacheStats));
+  MAYA_ASSIGN_OR_RETURN(deployment.sim_cache, ReadKey(entry, "sim_cache", ParseCacheStats));
+  return deployment;
+}
+
+Result<KindLatencyStats> ParseKindLatencyStats(const JsonValue& entry) {
+  KindLatencyStats latency;
+  MAYA_ASSIGN_OR_RETURN(latency.kind, ReadKey(entry, "kind", ToString));
+  MAYA_ASSIGN_OR_RETURN(latency.queue_wait,
+                        ReadKey(entry, "queue_wait_us", ParseLatencyPercentiles));
+  MAYA_ASSIGN_OR_RETURN(latency.latency, ReadKey(entry, "latency_us", ParseLatencyPercentiles));
+  return latency;
+}
+
+Status ParseSearchResult(const JsonValue& root, ServiceResponse& response) {
+  MAYA_ASSIGN_OR_RETURN(response.found, ReadKey(root, "found", ToBool));
+  if (response.found) {
+    MAYA_ASSIGN_OR_RETURN(response.best_config, ReadKey(root, "best_config", ParseTrainConfig));
+    MAYA_ASSIGN_OR_RETURN(response.best_mfu, ReadKey(root, "best_mfu", ToHexDouble));
+    MAYA_ASSIGN_OR_RETURN(response.best_iteration_us,
+                          ReadKey(root, "best_iteration_us", ToHexDouble));
+  }
+  MAYA_ASSIGN_OR_RETURN(response.samples, ReadKey(root, "samples", ToInt32));
+  MAYA_ASSIGN_OR_RETURN(response.executed, ReadKey(root, "executed", ToInt32));
+  MAYA_ASSIGN_OR_RETURN(response.cached, ReadKey(root, "cached", ToInt32));
+  MAYA_ASSIGN_OR_RETURN(response.skipped, ReadKey(root, "skipped", ToInt32));
+  MAYA_ASSIGN_OR_RETURN(response.search_oom, ReadKey(root, "oom_trials", ToInt32));
+  if (root.Has("emulation_ms")) {
+    MAYA_RETURN_IF_ERROR(ParseStageMs(root, response.timings));
+  }
+  MAYA_ASSIGN_OR_RETURN(response.estimation, ReadKey(root, "estimation", ParseEstimationStats));
+  return ReadOptionalKey(root, "simulation", ParseSimulationStats, response.simulation);
+}
+
+Status ParseStatsResult(const JsonValue& root, ServiceStats& stats) {
+  MAYA_ASSIGN_OR_RETURN(stats.submitted, ReadKey(root, "submitted", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.completed, ReadKey(root, "completed", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.rejected, ReadKey(root, "rejected", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.cancelled, ReadKey(root, "cancelled", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.deadline_expired, ReadKey(root, "deadline_expired", ToUint));
+  MAYA_ASSIGN_OR_RETURN(stats.queue_depth, ReadKey(root, "queue_depth", ToUint));
+  if (root.Has("queued_weight")) {
+    MAYA_ASSIGN_OR_RETURN(stats.queued_weight, ReadKey(root, "queued_weight", ToNumber));
+    MAYA_ASSIGN_OR_RETURN(stats.max_queue_weight, ReadKey(root, "max_queue_weight", ToNumber));
+  }
+  if (root.Has("deployments")) {
+    MAYA_RETURN_IF_ERROR(ReadArrayKey(root, "deployments", ToString, stats.deployments));
+    MAYA_ASSIGN_OR_RETURN(stats.registered_deployments,
+                          ReadKey(root, "registered_deployments", ToUint));
+    MAYA_ASSIGN_OR_RETURN(stats.derived_deployments,
+                          ReadKey(root, "derived_deployments", ToUint));
+  }
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "timed_requests", ToUint, stats.timed_requests));
+  MAYA_RETURN_IF_ERROR(
+      ReadOptionalKey(root, "stage_totals_ms", ParseStageTotals, stats.stage_totals));
+  MAYA_ASSIGN_OR_RETURN(stats.kernel_cache, ReadKey(root, "kernel_cache", ParseCacheStats));
+  MAYA_ASSIGN_OR_RETURN(stats.collective_cache,
+                        ReadKey(root, "collective_cache", ParseCacheStats));
+  MAYA_ASSIGN_OR_RETURN(stats.trace_cache, ReadKey(root, "trace_cache", ParseCacheStats));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "sim_cache", ParseCacheStats, stats.sim_cache));
+  if (root.Has("per_deployment")) {
+    MAYA_RETURN_IF_ERROR(
+        ReadArrayKey(root, "per_deployment", ParseDeploymentStats, stats.per_deployment));
+  }
+  if (root.Has("latency")) {
+    MAYA_RETURN_IF_ERROR(ReadArrayKey(root, "latency", ParseKindLatencyStats, stats.latency));
+  }
+  return Status::Ok();
+}
+
+Status ParseHealthResult(const JsonValue& root, HealthStatus& health) {
+  MAYA_ASSIGN_OR_RETURN(health.live, ReadKey(root, "live", ToBool));
+  MAYA_ASSIGN_OR_RETURN(health.ready, ReadKey(root, "ready", ToBool));
+  MAYA_ASSIGN_OR_RETURN(health.draining, ReadKey(root, "draining", ToBool));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "journal_enabled", ToBool, health.journal_enabled));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "journal_appends", ToUint, health.journal_appends));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "journal_lag", ToUint, health.journal_lag));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "journal_append_failures", ToUint,
+                                       health.journal_append_failures));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "checkpoints", ToUint, health.checkpoints));
+  MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "last_checkpoint_age_s", ToNumber,
+                                       health.last_checkpoint_age_s));
+  MAYA_RETURN_IF_ERROR(
+      ReadOptionalKey(root, "replayed_records", ToUint, health.replayed_records));
+  MAYA_RETURN_IF_ERROR(
+      ReadOptionalKey(root, "torn_records_dropped", ToUint, health.torn_records_dropped));
+  return ReadOptionalKey(root, "queue_depth", ToUint, health.queue_depth);
 }
 
 }  // namespace
@@ -597,7 +760,7 @@ Result<TrainConfig> ParseTrainConfig(const JsonValue& value) {
   TrainConfig config;
   if (value.Has("framework")) {
     std::string framework_name;
-    MAYA_ASSIGN_OR_RETURN(framework_name, ToString(value.at("framework")));
+    MAYA_ASSIGN_OR_RETURN(framework_name, ReadKey(value, "framework", ToString));
     MAYA_ASSIGN_OR_RETURN(config.framework, ParallelFrameworkFromName(framework_name));
   }
   auto int_field = [&value](const char* key, int* out) -> Status {
@@ -621,7 +784,7 @@ Result<TrainConfig> ParseTrainConfig(const JsonValue& value) {
     return Status::Ok();
   };
   if (value.Has("global_batch_size")) {
-    MAYA_ASSIGN_OR_RETURN(config.global_batch_size, ToInt(value.at("global_batch_size")));
+    MAYA_ASSIGN_OR_RETURN(config.global_batch_size, ReadKey(value, "global_batch_size", ToInt));
   }
   MAYA_RETURN_IF_ERROR(int_field("tensor_parallel", &config.tensor_parallel));
   MAYA_RETURN_IF_ERROR(int_field("pipeline_parallel", &config.pipeline_parallel));
@@ -1090,230 +1253,62 @@ std::string SerializeServiceResponse(const ServiceResponse& response) {
 }
 
 Result<ServiceResponse> ParseServiceResponse(const std::string& line) {
-  Result<JsonValue> root = ParseJson(line);
-  if (!root.ok()) {
-    return root.status();
-  }
-  MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"id", "kind", "ok"}));
+  MAYA_ASSIGN_OR_RETURN(const JsonValue root, ParseJson(line));
   ServiceResponse response;
-  MAYA_ASSIGN_OR_RETURN(response.id, ToUint(root->at("id")));
-  Result<ServiceRequestKind> kind = ServiceRequestKindFromName(root->at("kind").AsString());
-  if (!kind.ok()) {
-    return kind.status();
-  }
-  response.kind = *kind;
-  response.ok = root->at("ok").AsBool();
+  MAYA_ASSIGN_OR_RETURN(response.id, ReadKey(root, "id", ToUint));
+  MAYA_ASSIGN_OR_RETURN(const std::string kind_name, ReadKey(root, "kind", ToString));
+  MAYA_ASSIGN_OR_RETURN(response.kind, ServiceRequestKindFromName(kind_name));
+  MAYA_ASSIGN_OR_RETURN(response.ok, ReadKey(root, "ok", ToBool));
   if (!response.ok) {
-    MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"error", "error_code"}));
-    response.error = root->at("error").AsString();
-    response.error_code = root->at("error_code").AsString();
+    MAYA_ASSIGN_OR_RETURN(response.error, ReadKey(root, "error", ToString));
+    MAYA_ASSIGN_OR_RETURN(response.error_code, ReadKey(root, "error_code", ToString));
     return response;
   }
   switch (response.kind) {
     case ServiceRequestKind::kPredict:
     case ServiceRequestKind::kWhatIfOom:
     case ServiceRequestKind::kTracePredict: {
-      Result<PredictResult> result = ParsePredictResultFields(*root);
-      if (!result.ok()) {
-        return result.status();
-      }
-      AssignPredictResult(response, *result);
+      MAYA_ASSIGN_OR_RETURN(const PredictResult result, ParsePredictResultFields(root));
+      AssignPredictResult(response, result);
       break;
     }
-    case ServiceRequestKind::kBatchPredict: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"items"}));
-      const JsonArray* items = nullptr;
-      MAYA_ASSIGN_OR_RETURN(items, ToArray(root->at("items")));
-      response.batch.reserve(items->size());
-      for (const JsonValue& item : *items) {
-        Result<PredictResult> result = ParsePredictResultFields(item);
-        if (!result.ok()) {
-          return result.status();
-        }
-        response.batch.push_back(*std::move(result));
-      }
+    case ServiceRequestKind::kBatchPredict:
+      MAYA_RETURN_IF_ERROR(ReadArrayKey(root, "items", ParsePredictResultFields, response.batch));
       break;
-    }
-    case ServiceRequestKind::kSearch: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"found", "samples", "estimation"}));
-      response.found = root->at("found").AsBool();
-      if (response.found) {
-        Result<TrainConfig> best = ParseTrainConfig(root->at("best_config"));
-        if (!best.ok()) {
-          return best.status();
-        }
-        response.best_config = *best;
-        Result<double> best_mfu = DoubleFromBits(root->at("best_mfu").AsString());
-        if (!best_mfu.ok()) {
-          return best_mfu.status();
-        }
-        response.best_mfu = *best_mfu;
-        Result<double> best_iteration =
-            DoubleFromBits(root->at("best_iteration_us").AsString());
-        if (!best_iteration.ok()) {
-          return best_iteration.status();
-        }
-        response.best_iteration_us = *best_iteration;
-      }
-      response.samples = static_cast<int>(root->at("samples").AsInt());
-      response.executed = static_cast<int>(root->at("executed").AsInt());
-      response.cached = static_cast<int>(root->at("cached").AsInt());
-      response.skipped = static_cast<int>(root->at("skipped").AsInt());
-      response.search_oom = static_cast<int>(root->at("oom_trials").AsInt());
-      if (root->Has("emulation_ms")) {
-        response.timings.emulation_ms = root->at("emulation_ms").AsDouble();
-        response.timings.collation_ms = root->at("collation_ms").AsDouble();
-        response.timings.estimation_ms = root->at("estimation_ms").AsDouble();
-        response.timings.simulation_ms = root->at("simulation_ms").AsDouble();
-      }
-      response.estimation = ParseEstimationStats(root->at("estimation"));
-      if (root->Has("simulation")) {
-        response.simulation = ParseSimulationStats(root->at("simulation"));
-      }
+    case ServiceRequestKind::kSearch:
+      MAYA_RETURN_IF_ERROR(ParseSearchResult(root, response));
       break;
-    }
     case ServiceRequestKind::kStats:
-      response.stats.submitted = root->at("submitted").AsUint();
-      response.stats.completed = root->at("completed").AsUint();
-      response.stats.rejected = root->at("rejected").AsUint();
-      response.stats.cancelled = root->at("cancelled").AsUint();
-      response.stats.deadline_expired = root->at("deadline_expired").AsUint();
-      response.stats.queue_depth = root->at("queue_depth").AsUint();
-      if (root->Has("queued_weight")) {
-        response.stats.queued_weight = root->at("queued_weight").AsDouble();
-        response.stats.max_queue_weight = root->at("max_queue_weight").AsDouble();
-      }
-      if (root->Has("deployments")) {
-        for (const JsonValue& name : root->at("deployments").AsArray()) {
-          response.stats.deployments.push_back(name.AsString());
-        }
-        response.stats.registered_deployments =
-            root->at("registered_deployments").AsUint();
-        response.stats.derived_deployments = root->at("derived_deployments").AsUint();
-      }
-      if (root->Has("timed_requests")) {
-        response.stats.timed_requests = root->at("timed_requests").AsUint();
-      }
-      if (root->Has("stage_totals_ms")) {
-        response.stats.stage_totals = ParseStageTotals(root->at("stage_totals_ms"));
-      }
-      response.stats.kernel_cache = ParseCacheStats(root->at("kernel_cache"));
-      response.stats.collective_cache = ParseCacheStats(root->at("collective_cache"));
-      response.stats.trace_cache = ParseCacheStats(root->at("trace_cache"));
-      if (root->Has("sim_cache")) {
-        response.stats.sim_cache = ParseCacheStats(root->at("sim_cache"));
-      }
-      if (root->Has("per_deployment")) {
-        for (const JsonValue& entry : root->at("per_deployment").AsArray()) {
-          MAYA_RETURN_IF_ERROR(RequireKeys(
-              entry, {"name", "derived", "timed_requests", "stage_totals_ms", "kernel_cache",
-                      "collective_cache", "trace_cache", "sim_cache"}));
-          DeploymentStats deployment;
-          MAYA_ASSIGN_OR_RETURN(deployment.name, ToString(entry.at("name")));
-          deployment.derived = entry.at("derived").AsBool();
-          deployment.timed_requests = entry.at("timed_requests").AsUint();
-          // Optional for compatibility with pre-governance servers.
-          if (entry.Has("cancelled")) {
-            deployment.cancelled = entry.at("cancelled").AsUint();
-          }
-          if (entry.Has("deadline_expired")) {
-            deployment.deadline_expired = entry.at("deadline_expired").AsUint();
-          }
-          deployment.stage_totals = ParseStageTotals(entry.at("stage_totals_ms"));
-          deployment.kernel_cache = ParseCacheStats(entry.at("kernel_cache"));
-          deployment.collective_cache = ParseCacheStats(entry.at("collective_cache"));
-          deployment.trace_cache = ParseCacheStats(entry.at("trace_cache"));
-          deployment.sim_cache = ParseCacheStats(entry.at("sim_cache"));
-          response.stats.per_deployment.push_back(std::move(deployment));
-        }
-      }
-      if (root->Has("latency")) {
-        for (const JsonValue& entry : root->at("latency").AsArray()) {
-          MAYA_RETURN_IF_ERROR(
-              RequireKeys(entry, {"kind", "queue_wait_us", "latency_us"}));
-          KindLatencyStats latency;
-          MAYA_ASSIGN_OR_RETURN(latency.kind, ToString(entry.at("kind")));
-          latency.queue_wait = ParseLatencyPercentiles(entry.at("queue_wait_us"));
-          latency.latency = ParseLatencyPercentiles(entry.at("latency_us"));
-          response.stats.latency.push_back(std::move(latency));
-        }
-      }
+      MAYA_RETURN_IF_ERROR(ParseStatsResult(root, response.stats));
       break;
-    case ServiceRequestKind::kCancel:
-      response.cancel_found = root->at("cancel_found").AsBool();
+    case ServiceRequestKind::kCancel: {
+      MAYA_ASSIGN_OR_RETURN(response.cancel_found, ReadKey(root, "cancel_found", ToBool));
       break;
+    }
     case ServiceRequestKind::kMetrics: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"families"}));
-      Result<MetricsReport> report = ParseMetricsReport(root->at("families"));
-      if (!report.ok()) {
-        return report.status();
-      }
-      response.metrics = *std::move(report);
+      MAYA_ASSIGN_OR_RETURN(response.metrics, ReadKey(root, "families", ParseMetricsReport));
       break;
     }
     case ServiceRequestKind::kDumpTrace: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"trace_events"}));
-      MAYA_ASSIGN_OR_RETURN(response.trace_events, ToUint(root->at("trace_events")));
-      if (root->Has("trace_path")) {
-        MAYA_ASSIGN_OR_RETURN(response.trace_path, ToString(root->at("trace_path")));
-      }
-      if (root->Has("trace_json")) {
-        MAYA_ASSIGN_OR_RETURN(response.trace_json, ToString(root->at("trace_json")));
-      }
+      MAYA_ASSIGN_OR_RETURN(response.trace_events, ReadKey(root, "trace_events", ToUint));
+      MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "trace_path", ToString, response.trace_path));
+      MAYA_RETURN_IF_ERROR(ReadOptionalKey(root, "trace_json", ToString, response.trace_json));
       break;
     }
     case ServiceRequestKind::kAddDeployment: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"deployment", "trained", "warmed_entries"}));
-      MAYA_ASSIGN_OR_RETURN(response.deployment, ToString(root->at("deployment")));
-      MAYA_ASSIGN_OR_RETURN(response.trained, ToBool(root->at("trained")));
-      MAYA_ASSIGN_OR_RETURN(response.warmed_entries, ToUint(root->at("warmed_entries")));
+      MAYA_ASSIGN_OR_RETURN(response.deployment, ReadKey(root, "deployment", ToString));
+      MAYA_ASSIGN_OR_RETURN(response.trained, ReadKey(root, "trained", ToBool));
+      MAYA_ASSIGN_OR_RETURN(response.warmed_entries, ReadKey(root, "warmed_entries", ToUint));
       break;
     }
     case ServiceRequestKind::kRemoveDeployment: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"deployment", "removed"}));
-      MAYA_ASSIGN_OR_RETURN(response.deployment, ToString(root->at("deployment")));
-      MAYA_ASSIGN_OR_RETURN(response.removed, ToBool(root->at("removed")));
+      MAYA_ASSIGN_OR_RETURN(response.deployment, ReadKey(root, "deployment", ToString));
+      MAYA_ASSIGN_OR_RETURN(response.removed, ReadKey(root, "removed", ToBool));
       break;
     }
-    case ServiceRequestKind::kHealth: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(*root, {"live", "ready", "draining"}));
-      MAYA_ASSIGN_OR_RETURN(response.health.live, ToBool(root->at("live")));
-      MAYA_ASSIGN_OR_RETURN(response.health.ready, ToBool(root->at("ready")));
-      MAYA_ASSIGN_OR_RETURN(response.health.draining, ToBool(root->at("draining")));
-      if (root->Has("journal_enabled")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.journal_enabled,
-                              ToBool(root->at("journal_enabled")));
-      }
-      if (root->Has("journal_appends")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.journal_appends,
-                              ToUint(root->at("journal_appends")));
-      }
-      if (root->Has("journal_lag")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.journal_lag, ToUint(root->at("journal_lag")));
-      }
-      if (root->Has("journal_append_failures")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.journal_append_failures,
-                              ToUint(root->at("journal_append_failures")));
-      }
-      if (root->Has("checkpoints")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.checkpoints, ToUint(root->at("checkpoints")));
-      }
-      if (root->Has("last_checkpoint_age_s")) {
-        response.health.last_checkpoint_age_s = root->at("last_checkpoint_age_s").AsDouble();
-      }
-      if (root->Has("replayed_records")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.replayed_records,
-                              ToUint(root->at("replayed_records")));
-      }
-      if (root->Has("torn_records_dropped")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.torn_records_dropped,
-                              ToUint(root->at("torn_records_dropped")));
-      }
-      if (root->Has("queue_depth")) {
-        MAYA_ASSIGN_OR_RETURN(response.health.queue_depth, ToUint(root->at("queue_depth")));
-      }
+    case ServiceRequestKind::kHealth:
+      MAYA_RETURN_IF_ERROR(ParseHealthResult(root, response.health));
       break;
-    }
   }
   return response;
 }

@@ -86,11 +86,13 @@ struct PredictPayload {
   ModelConfig model;
   TrainConfig config;
   bool deduplicate_workers = true;
-  // Hyperscale virtual folding (see PredictionRequest::virtual_folds).
-  bool virtual_folds = false;
+  // Hyperscale virtual folding, on by default (see
+  // PredictionRequest::virtual_folds): a request without the wire key runs
+  // virtual folds, and `"virtual_folds": false` asks for full emulation.
+  bool virtual_folds = true;
   // Retired launch mode, kept for in-process callers: true selects virtual
-  // folds. The wire key of the same name parses into virtual_folds and is
-  // never written.
+  // folds. The wire key of the same name parses into virtual_folds (when
+  // `virtual_folds` itself is absent) and is never written.
   bool selective_launch = false;
   // Target deployment name ("h100x32", "v100x16", or a registered name);
   // empty answers on the engine's default deployment.
@@ -101,7 +103,9 @@ struct BatchPredictPayload {
   ModelConfig model;
   std::vector<TrainConfig> configs;
   bool deduplicate_workers = true;
-  bool virtual_folds = false;
+  // Applies to every item; same default and wire meaning as
+  // PredictPayload::virtual_folds.
+  bool virtual_folds = true;
   std::string deployment;
 };
 
@@ -118,7 +122,8 @@ struct WhatIfOomPayload {
   ModelConfig model;
   TrainConfig config;
   bool deduplicate_workers = true;
-  bool virtual_folds = false;
+  // Same default and wire meaning as PredictPayload::virtual_folds.
+  bool virtual_folds = true;
   std::string deployment;
 };
 

@@ -141,6 +141,7 @@ TEST_F(PipelineTest, DedupShrinksSimulatedWorkers) {
 
 TEST_F(PipelineTest, VirtualFoldsMatchDedupPath) {
   PredictionRequest dynamic{TinyGpt(), BaseConfig()};
+  dynamic.virtual_folds = false;  // the reference: full emulation
   PredictionRequest folded{TinyGpt(), BaseConfig()};
   folded.virtual_folds = true;
   const Result<PredictionReport> a = pipeline_->Predict(dynamic);
@@ -149,7 +150,7 @@ TEST_F(PipelineTest, VirtualFoldsMatchDedupPath) {
   ASSERT_TRUE(b.ok());
   EXPECT_NEAR(a->iteration_time_us / b->iteration_time_us, 1.0, 1e-9);
   EXPECT_EQ(b->full_workers_emulated, 2);
-  EXPECT_EQ(a->full_workers_emulated, 8);
+  EXPECT_EQ(a->full_workers_emulated, cluster_->total_gpus());
 }
 
 TEST_F(PipelineTest, ParallelEmulationMatchesSerialPrediction) {
@@ -195,6 +196,7 @@ TEST_F(PipelineTest, GeneralizedVirtualFoldsMatchDedupPath) {
   fsdp.tensor_parallel = 1;
   fsdp.pipeline_parallel = 1;
   PredictionRequest dynamic{TinyGpt(), fsdp};
+  dynamic.virtual_folds = false;  // the reference: full emulation
   PredictionRequest folded{TinyGpt(), fsdp};
   folded.virtual_folds = true;
   const Result<PredictionReport> a = pipeline_->Predict(dynamic);
@@ -205,7 +207,7 @@ TEST_F(PipelineTest, GeneralizedVirtualFoldsMatchDedupPath) {
   // representative (rank 0), so the predictions are bit-identical.
   EXPECT_EQ(a->iteration_time_us, b->iteration_time_us);
   EXPECT_EQ(a->mfu, b->mfu);
-  EXPECT_EQ(a->full_workers_emulated, 8);
+  EXPECT_EQ(a->full_workers_emulated, cluster_->total_gpus());
   EXPECT_EQ(b->full_workers_emulated, 1);
   EXPECT_EQ(b->collation.unique_workers, 1);
 }
@@ -216,6 +218,7 @@ TEST_F(PipelineTest, GeneralizedVirtualFoldsVisionMatchDedupPath) {
   ddp.global_batch_size = 256;
   ddp.microbatch_multiplier = 1;
   PredictionRequest dynamic{ResNet152(), ddp};
+  dynamic.virtual_folds = false;  // the reference: full emulation
   PredictionRequest folded{ResNet152(), ddp};
   folded.virtual_folds = true;
   const Result<PredictionReport> a = pipeline_->Predict(dynamic);
@@ -223,6 +226,7 @@ TEST_F(PipelineTest, GeneralizedVirtualFoldsVisionMatchDedupPath) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->iteration_time_us, b->iteration_time_us);
+  EXPECT_EQ(a->full_workers_emulated, cluster_->total_gpus());
   EXPECT_EQ(b->full_workers_emulated, 1);
 }
 

@@ -322,6 +322,7 @@ TEST_F(HyperscaleTest, VirtualFoldsOomParityWithMaterializedPaths) {
   TrainConfig unsharded;  // tp1 pp1: every rank holds the full model
   unsharded.global_batch_size = 32;
   request.config = unsharded;
+  request.virtual_folds = false;  // the reference: full emulation
   Result<PredictionReport> materialized = pipeline.Predict(request);
   request.virtual_folds = true;
   Result<PredictionReport> virtualized = pipeline.Predict(request);
@@ -340,6 +341,7 @@ TEST_F(HyperscaleTest, SearchTrialsBitIdenticalUnderVirtualFolds) {
   options.sample_budget = 12;
   options.seed = 3;
   options.concurrency = 1;
+  options.virtual_folds = false;  // the reference: full emulation per trial
   Result<SearchOutcome> materialized = RunSearch(pipeline, TinyGpt(), space, options);
   options.virtual_folds = true;
   Result<SearchOutcome> virtualized = RunSearch(pipeline, TinyGpt(), space, options);
@@ -431,6 +433,7 @@ TEST_F(HyperscaleServiceTest, PredictWireBitIdenticalUnderVirtualFolds) {
   PredictPayload payload;
   payload.model = TinyGpt();
   payload.config = MegatronConfig();
+  payload.virtual_folds = false;  // the reference: full emulation
   ServiceRequest request;
   request.id = 1;
   request.payload = payload;
@@ -459,6 +462,7 @@ TEST_F(HyperscaleServiceTest, WhatIfOomWireParityUnderVirtualFolds) {
   WhatIfOomPayload payload;
   payload.model = TinyGpt();
   payload.config = MegatronConfig();
+  payload.virtual_folds = false;  // the reference: full emulation
   ServiceRequest request;
   request.id = 3;
   request.payload = payload;

@@ -11,9 +11,12 @@
 #include <filesystem>
 #include <future>
 #include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "src/common/cancellation.h"
@@ -493,6 +496,227 @@ TEST(ServiceProtocolTest, ErrorResponseRoundTrip) {
   EXPECT_FALSE(parsed->ok);
   EXPECT_EQ(parsed->error_code, kErrQueueFull);
   EXPECT_EQ(parsed->error, error.error);
+}
+
+// ---- Malformed answers ------------------------------------------------------
+//
+// Answers are bytes off the network: ParseServiceResponse must turn a missing
+// or mistyped key into InvalidArgument naming the key, never abort. The cases
+// mutate real answers a ServiceEngine writes, one key or value at a time.
+
+// Answers of the compute and observability kinds, as an engine writes them:
+// predict (feasible and OOM), batch_predict (both outcomes as items), search,
+// stats (after the compute requests, so its arrays are populated) and health.
+const std::vector<std::string>& RealAnswerLines() {
+  static const std::vector<std::string>* const lines = [] {
+    const ClusterSpec cluster = H100Cluster(8);
+    const GroundTruthExecutor executor(cluster, 7);
+    const EstimatorBank bank = TrainEstimators(cluster, executor, TestSweep());
+    std::unique_ptr<ServiceEngine> engine = *ServiceEngine::Create(
+        cluster, bank.kernel.get(), bank.collective.get(), ServiceEngineOptions{});
+    TrainConfig oversized = BaseConfig();
+    oversized.global_batch_size = 4096;  // 512-sequence microbatches overflow the device
+    oversized.microbatch_multiplier = 1;
+
+    PredictPayload feasible;
+    feasible.model = TinyGpt();
+    feasible.config = BaseConfig();
+    PredictPayload oom = feasible;
+    oom.config = oversized;
+    BatchPredictPayload batch;
+    batch.model = TinyGpt();
+    batch.configs = {BaseConfig(), oversized};
+    SearchPayload search;
+    search.model = TinyGpt();
+    search.search.algorithm = "random";
+    search.search.sample_budget = 8;
+    search.search.seed = 3;
+    search.global_batch = 32;
+
+    auto* out = new std::vector<std::string>;
+    uint64_t id = 0;
+    for (ServicePayload payload :
+         {ServicePayload{feasible}, ServicePayload{oom}, ServicePayload{batch},
+          ServicePayload{search}, ServicePayload{StatsPayload{}}, ServicePayload{HealthPayload{}}}) {
+      ServiceRequest request;
+      request.id = ++id;
+      request.payload = std::move(payload);
+      const ServiceResponse response = engine->Submit(request).get();
+      CHECK(response.ok) << response.error;
+      out->push_back(SerializeServiceResponse(response));
+    }
+    return out;
+  }();
+  return *lines;
+}
+
+// One step into a JSON document: an object key, or an array index when the
+// key is empty.
+struct JsonStep {
+  std::string key;
+  size_t index = 0;
+};
+
+// A value inside an answer: where it is, and the key that names it (an
+// array element is named by its array's key).
+struct JsonSite {
+  std::vector<JsonStep> path;
+  std::string key;
+  bool in_object = false;
+  JsonValue value;
+};
+
+void CollectSites(const JsonValue& node, std::vector<JsonStep>& path, const std::string& key,
+                  std::vector<JsonSite>& out) {
+  if (node.is_object()) {
+    for (const auto& [member, value] : node.AsObject()) {
+      path.push_back({member, 0});
+      out.push_back({path, member, true, value});
+      CollectSites(value, path, member, out);
+      path.pop_back();
+    }
+  } else if (node.is_array()) {
+    for (size_t i = 0; i < node.AsArray().size(); ++i) {
+      path.push_back({"", i});
+      out.push_back({path, key, false, node.AsArray()[i]});
+      CollectSites(node.AsArray()[i], path, key, out);
+      path.pop_back();
+    }
+  }
+}
+
+// `node` with the value at `path` dropped (no replacement; the last step is
+// a key) or replaced. Containers are copied on the way down: JsonValue
+// shares them between copies.
+JsonValue Rebuild(const JsonValue& node, const std::vector<JsonStep>& path, size_t depth,
+                  const std::optional<JsonValue>& replacement) {
+  const JsonStep& step = path[depth];
+  const bool last = depth + 1 == path.size();
+  if (node.is_object()) {
+    JsonObject object = node.AsObject();
+    if (last && !replacement.has_value()) {
+      object.erase(step.key);
+    } else {
+      object[step.key] =
+          last ? *replacement : Rebuild(object.at(step.key), path, depth + 1, replacement);
+    }
+    return JsonValue(std::move(object));
+  }
+  JsonArray array = node.AsArray();
+  array[step.index] =
+      last ? *replacement : Rebuild(array[step.index], path, depth + 1, replacement);
+  return JsonValue(std::move(array));
+}
+
+void WriteJsonValue(JsonWriter& w, const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kNull:
+      w.Null();
+      break;
+    case JsonValue::Type::kBool:
+      w.Bool(value.AsBool());
+      break;
+    case JsonValue::Type::kNumber:
+      if (Result<int64_t> integer = ToInt(value); integer.ok()) {
+        w.Int(*integer);
+      } else if (Result<uint64_t> unsigned_integer = ToUint(value); unsigned_integer.ok()) {
+        w.Uint(*unsigned_integer);
+      } else {
+        w.Double(value.AsDouble());
+      }
+      break;
+    case JsonValue::Type::kString:
+      w.String(value.AsString());
+      break;
+    case JsonValue::Type::kArray:
+      w.BeginArray();
+      for (const JsonValue& item : value.AsArray()) {
+        WriteJsonValue(w, item);
+      }
+      w.EndArray();
+      break;
+    case JsonValue::Type::kObject:
+      w.BeginObject();
+      for (const auto& [key, member] : value.AsObject()) {
+        w.Key(key);
+        WriteJsonValue(w, member);
+      }
+      w.EndObject();
+      break;
+  }
+}
+
+// A value of a JSON type other than `value`'s.
+JsonValue WrongTyped(const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kNumber:
+    case JsonValue::Type::kBool:
+      return JsonValue(std::string("x"));
+    default:
+      return JsonValue(int64_t{7});
+  }
+}
+
+// Parses a mutated answer: ok when the key is optional (or unread), else
+// InvalidArgument naming the key. An abort fails the whole test binary.
+void ExpectOkOrTypedError(const JsonValue& mutated, const std::string& key,
+                          const std::string& what) {
+  JsonWriter w;
+  WriteJsonValue(w, mutated);
+  const Result<ServiceResponse> parsed = ParseServiceResponse(w.str());
+  if (parsed.ok()) {
+    return;
+  }
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(parsed.status().message().find(key), std::string::npos)
+      << what << ": " << parsed.status().ToString();
+}
+
+TEST(ServiceProtocolTest, RealAnswersRoundTripByteIdentical) {
+  ASSERT_EQ(RealAnswerLines().size(), 6u);
+  for (const std::string& line : RealAnswerLines()) {
+    const Result<ServiceResponse> parsed = ParseServiceResponse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
+    EXPECT_EQ(SerializeServiceResponse(*parsed), line);
+  }
+}
+
+TEST(ServiceProtocolTest, AnswerWithAKeyDroppedIsATypedError) {
+  int dropped = 0;
+  for (const std::string& line : RealAnswerLines()) {
+    const Result<JsonValue> root = ParseJson(line);
+    ASSERT_TRUE(root.ok());
+    std::vector<JsonStep> path;
+    std::vector<JsonSite> sites;
+    CollectSites(*root, path, "", sites);
+    for (const JsonSite& site : sites) {
+      if (!site.in_object) {
+        continue;
+      }
+      ExpectOkOrTypedError(Rebuild(*root, site.path, 0, std::nullopt), site.key,
+                           "drop '" + site.key + "' from " + line);
+      ++dropped;
+    }
+  }
+  // Every nesting level of every answer kind was visited.
+  EXPECT_GT(dropped, 200);
+}
+
+TEST(ServiceProtocolTest, AnswerWithAMistypedValueIsATypedError) {
+  int mistyped = 0;
+  for (const std::string& line : RealAnswerLines()) {
+    const Result<JsonValue> root = ParseJson(line);
+    ASSERT_TRUE(root.ok());
+    std::vector<JsonStep> path;
+    std::vector<JsonSite> sites;
+    CollectSites(*root, path, "", sites);
+    for (const JsonSite& site : sites) {
+      ExpectOkOrTypedError(Rebuild(*root, site.path, 0, WrongTyped(site.value)), site.key,
+                           "mistype '" + site.key + "' in " + line);
+      ++mistyped;
+    }
+  }
+  EXPECT_GT(mistyped, 200);
 }
 
 TEST(ServiceProtocolTest, ClusterNames) {
@@ -1037,57 +1261,78 @@ std::string AnswerKey(const ServiceResponse& response) {
   return key;
 }
 
+// The launch-mode flag a parsed compute payload carries.
+bool ParsedVirtualFolds(const ServicePayload& payload) {
+  return std::visit(
+      [](const auto& typed) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(typed)>, SearchPayload>) {
+          return typed.search.virtual_folds;
+        } else if constexpr (requires { typed.virtual_folds; }) {
+          return typed.virtual_folds;
+        } else {
+          return false;
+        }
+      },
+      payload);
+}
+
 // `selective_launch` is a retired launch mode kept on the wire as an alias
 // of `virtual_folds`: every kind that takes the knob answers hex-identically
-// under either spelling, and no serializer writes the alias back.
+// under either spelling, and no serializer writes the alias back. Both
+// spellings of false ask for full emulation, the reference path.
 TEST_F(ServiceTest, SelectiveLaunchAliasAnswersLikeVirtualFolds) {
   PredictPayload predict;
   predict.model = TinyGpt();
   predict.config = BaseConfig();
-  predict.virtual_folds = true;
   BatchPredictPayload batch;
   batch.model = TinyGpt();
   batch.configs = SweepConfigs();
-  batch.virtual_folds = true;
   WhatIfOomPayload whatif;
   whatif.model = TinyGpt();
   whatif.config = BaseConfig();
-  whatif.virtual_folds = true;
   SearchPayload search;
   search.model = TinyGpt();
   search.search.algorithm = "random";
   search.search.sample_budget = 8;
   search.search.seed = 3;
-  search.search.virtual_folds = true;
   search.global_batch = 32;
 
   // Both engines see the same request sequence, so their caches agree too.
   auto folds_engine = MakeEngine();
   auto alias_engine = MakeEngine();
   uint64_t id = 0;
-  for (ServicePayload payload : {ServicePayload{predict}, ServicePayload{batch},
-                                 ServicePayload{whatif}, ServicePayload{search}}) {
-    ServiceRequest request;
-    request.id = ++id;
-    request.payload = std::move(payload);
-    const std::string folds_line = SerializeServiceRequest(request);
-    EXPECT_EQ(folds_line.find("selective_launch"), std::string::npos);
-    std::string alias_line = folds_line;
-    const size_t at = alias_line.find(R"("virtual_folds":true)");
-    ASSERT_NE(at, std::string::npos) << folds_line;
-    alias_line.replace(at, std::strlen(R"("virtual_folds")"), R"("selective_launch")");
+  for (const bool enabled : {true, false}) {
+    predict.virtual_folds = enabled;
+    batch.virtual_folds = enabled;
+    whatif.virtual_folds = enabled;
+    search.search.virtual_folds = enabled;
+    const std::string spelling = enabled ? R"("virtual_folds":true)" : R"("virtual_folds":false)";
+    for (ServicePayload payload : {ServicePayload{predict}, ServicePayload{batch},
+                                   ServicePayload{whatif}, ServicePayload{search}}) {
+      ServiceRequest request;
+      request.id = ++id;
+      request.payload = std::move(payload);
+      const std::string folds_line = SerializeServiceRequest(request);
+      EXPECT_EQ(folds_line.find("selective_launch"), std::string::npos);
+      std::string alias_line = folds_line;
+      const size_t at = alias_line.find(spelling);
+      ASSERT_NE(at, std::string::npos) << folds_line;
+      alias_line.replace(at, std::strlen(R"("virtual_folds")"), R"("selective_launch")");
 
-    Result<ServiceRequest> folds = ParseServiceRequest(folds_line);
-    Result<ServiceRequest> alias = ParseServiceRequest(alias_line);
-    ASSERT_TRUE(folds.ok()) << folds.status().ToString();
-    ASSERT_TRUE(alias.ok()) << alias.status().ToString();
-    // The alias parses into virtual_folds and is never written back.
-    EXPECT_EQ(SerializeServiceRequest(*alias), folds_line);
-    const ServiceResponse a = folds_engine->Execute(*folds);
-    const ServiceResponse b = alias_engine->Execute(*alias);
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(AnswerKey(a), AnswerKey(b)) << alias_line;
+      Result<ServiceRequest> folds = ParseServiceRequest(folds_line);
+      Result<ServiceRequest> alias = ParseServiceRequest(alias_line);
+      ASSERT_TRUE(folds.ok()) << folds.status().ToString();
+      ASSERT_TRUE(alias.ok()) << alias.status().ToString();
+      EXPECT_EQ(ParsedVirtualFolds(folds->payload), enabled) << folds_line;
+      EXPECT_EQ(ParsedVirtualFolds(alias->payload), enabled) << alias_line;
+      // The alias parses into virtual_folds and is never written back.
+      EXPECT_EQ(SerializeServiceRequest(*alias), folds_line);
+      const ServiceResponse a = folds_engine->Execute(*folds);
+      const ServiceResponse b = alias_engine->Execute(*alias);
+      ASSERT_TRUE(a.ok) << a.error;
+      ASSERT_TRUE(b.ok) << b.error;
+      EXPECT_EQ(AnswerKey(a), AnswerKey(b)) << alias_line;
+    }
   }
 }
 
